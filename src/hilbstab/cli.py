@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success (and on admissible with --strict), 1 on a
 semantic negative (--strict with a non-admissible candidate, or an Ext
-table that cannot exist), 2 on malformed input.  Output goes to stdout
-or to --out; JSON is the default format, --csv selects the flat
-projection.
+table that cannot exist), 2 on malformed input or an I/O failure (an
+unwritable --out, or a reader that closed the pipe).  Output goes to
+stdout or to --out; JSON is the default format, --csv selects the flat
+projection.  Search output is written record by record as hits are found.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import stat
 import sys
+from itertools import islice
 
 from .certificate import (
     CSV_COLUMNS,
@@ -24,7 +28,9 @@ from .certificate import (
 )
 from .lattice import K3Surface, MukaiVector
 from .pfunctor import NegativeExt, ext_dims_on_hilb, ext_dims_on_X
-from .search import InvalidQuery, SearchQuery, enumerate_hits
+# enumerate_hits is unused here but stays importable: perfbench/traced.py
+# wraps it by name.
+from .search import InvalidQuery, SearchQuery, enumerate_hits, iter_hits  # noqa: F401
 
 _RANGE_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
@@ -52,12 +58,70 @@ def _render_csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _write_json_list(records, out) -> None:
+    """Write json.dumps(list(records), indent=2) + "\n" one record at a time.
+
+    Each record is encoded on its own and indented one level by replacing
+    its newlines; encoded JSON holds no raw newline besides indentation.
+    """
+    encoder = json.JSONEncoder(indent=2)
+    sep = "[\n  "
+    for record in records:
+        out.write(sep + encoder.encode(record).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")
+
+
+def _write_to(out_path: str | None, write) -> None:
+    """Call write(stream) on stdout, or on a file that replaces out_path.
+
+    A regular (or new) file is written beside its resolved path and moved
+    onto it only once write returns, so a failure never leaves a truncated
+    output behind; a symlink is written through and the file keeps its
+    mode.  Anything else (a device, a FIFO), or a target whose directory
+    takes no new file, is written in place.
+    """
     if out_path is None:
-        sys.stdout.write(text)
-    else:
+        write(sys.stdout)
+        return
+    real = os.path.realpath(out_path)
+    tmp = _temp_beside(real) if not os.path.exists(real) or os.path.isfile(real) else None
+    if tmp is None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
+        return
+    try:
+        with os.fdopen(tmp[0], "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp[1], real)
+    except BaseException:
+        os.unlink(tmp[1])
+        raise
+
+
+def _temp_beside(path: str) -> tuple[int, str] | None:
+    """(fd, name) of a new file next to path with the mode path has or would
+    get, or None when its directory takes no new file."""
+    import tempfile  # not at top level: it would add to every import of the CLI
+
+    try:
+        fd, name = tempfile.mkstemp(
+            dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+        )
+    except OSError:
+        return None
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    os.fchmod(fd, mode)
+    return fd, name
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    _write_to(out_path, lambda out: out.write(text))
 
 
 def _candidate(args: argparse.Namespace) -> tuple[K3Surface, MukaiVector]:
@@ -89,18 +153,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
     query = SearchQuery(_parse_range(args.h2), _parse_range(args.k))
-    hits = enumerate_hits(query, workers=args.workers)
-    if args.limit is not None:
-        hits = hits[: args.limit]
-    if args.csv:
-        text = _render_csv(
-            CSV_COLUMNS, [certificate_csv_row(h.certificate) for h in hits]
-        )
-    else:
-        text = _render_json(
-            [certificate_to_dict(h.certificate, include_notes=True) for h in hits]
-        )
-    _emit(text, args.out)
+    hits = iter_hits(query, workers=args.workers)
+
+    def write(out) -> None:
+        limited = islice(hits, args.limit)
+        if args.csv:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(certificate_csv_row(h.certificate) for h in limited)
+        else:
+            _write_json_list(
+                (certificate_to_dict(h.certificate, include_notes=True) for h in limited),
+                out,
+            )
+
+    try:
+        _write_to(args.out, write)
+    finally:
+        hits.close()
     return 0
 
 
@@ -184,9 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="enumerate all admissible vectors")
     p_search.add_argument("h2", help="even h^2 or inclusive range LO-HI")
     p_search.add_argument("k", help="k or inclusive range LO-HI")
-    p_search.add_argument("--limit", type=int, help="truncate after canonical ordering")
     p_search.add_argument(
-        "--workers", type=int, default=1, help="parallel workers (output unchanged)"
+        "--limit", type=int, help="stop after this many hits in canonical order"
+    )
+    p_search.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel workers, at most one per CPU (output unchanged)",
     )
     _add_output_flags(p_search)
     p_search.set_defaults(func=_cmd_search)
@@ -210,8 +285,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except ValueError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone (say `| head`): send what is still buffered to
+        # devnull so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

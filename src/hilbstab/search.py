@@ -17,13 +17,21 @@ brute-force scan in the test suite.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .certificate import Certificate, build_certificate
 from .conditions import AdmissibilityReport, admissibility_report
 from .lattice import K3Surface, MukaiVector
+
+
+# Cells in flight per pool process: enough to keep every process busy while
+# the consumer certifies and writes earlier cells, few enough that memory
+# and the work wasted by an early stop stay small.
+WINDOW_PER_PROCESS = 8
 
 
 class InvalidQuery(ValueError):
@@ -66,14 +74,6 @@ class SearchQuery:
             raise InvalidQuery(f"k must be positive, got {k_lo}")
         if self.r_max is not None and self.r_max < 1:
             raise InvalidQuery(f"r_max override must be positive, got {self.r_max}")
-
-    def h2_values(self) -> Iterator[int]:
-        lo, hi = _as_range(self.h_squared)
-        return iter(range(lo, hi + 1, 2))
-
-    def k_values(self) -> Iterator[int]:
-        lo, hi = _as_range(self.k)
-        return iter(range(lo, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -126,27 +126,87 @@ def _scan_cell(args: tuple[int, int, int | None]) -> list[tuple[int, int]]:
     return found
 
 
-def enumerate_hits(query: SearchQuery, workers: int = 1) -> list[SearchHit]:
-    """All admissible vectors in the query box, ordered by (h^2, k, r, s).
+def _cells(query: SearchQuery) -> Iterator[tuple[int, int, int | None]]:
+    """Scan arguments for the cells of the query box that can hold hits.
 
-    The candidate grid is embarrassingly parallel; results are merged and
-    canonically sorted, so the output is identical for any worker count.
+    r = 1 has the loosest s-interval, [2k - 1, (h^2+2)/2], which is empty
+    once k > (h^2 + 4) // 4; every higher rank is then empty too, whatever
+    the r_max override.  So k is clamped per h^2, and h^2 below 4 k_lo - 4
+    is skipped without visiting it.
+    """
+    h_lo, h_hi = _as_range(query.h_squared)
+    k_lo, k_hi = _as_range(query.k)
+    for h2 in range(max(h_lo, 4 * k_lo - 4), h_hi + 1, 2):
+        for k in range(k_lo, min(k_hi, (h2 + 4) // 4) + 1):
+            yield h2, k, query.r_max
+
+
+def _pool_size(workers: int) -> int:
+    """Worker processes to start for --workers: never more than the CPUs
+    this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(workers, len(os.sched_getaffinity(0)))
+    return min(workers, os.cpu_count() or 1)
+
+
+def _scan_in_pool(
+    cells: Iterator[tuple[int, int, int | None]], processes: int
+) -> Iterator[tuple[tuple[int, int, int | None], list[tuple[int, int]]]]:
+    """(cell, pairs) in cell order, scanned by a pool of `processes` workers.
+
+    Only a window of WINDOW_PER_PROCESS cells per process is in flight, so
+    an unbounded box neither queues all its cells nor runs far ahead of the
+    consumer.  Closing the generator cancels the cells not yet started.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    window = WINDOW_PER_PROCESS * processes
+    pool = ProcessPoolExecutor(max_workers=processes)
+    try:
+        pending: deque = deque()
+        for cell in cells:
+            pending.append((cell, pool.submit(_scan_cell, cell)))
+            if len(pending) >= window:
+                done, future = pending.popleft()
+                yield done, future.result()
+        for done, future in pending:
+            yield done, future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _stream_hits(query: SearchQuery, processes: int) -> Iterator[SearchHit]:
+    cells = _cells(query)
+    head = list(islice(cells, 2))
+    if processes == 1 or len(head) < 2:
+        scanned = ((cell, _scan_cell(cell)) for cell in chain(head, cells))
+    else:
+        scanned = _scan_in_pool(chain(head, cells), processes)
+    try:
+        for (h2, k, _), pairs in scanned:
+            surface = K3Surface(h2)
+            for r, s in pairs:
+                v = MukaiVector(r, 1, s)
+                cert = build_certificate(surface, v, k)
+                yield SearchHit(h2, k, v, cert.report, cert)
+    finally:
+        scanned.close()
+
+
+def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[SearchHit]:
+    """All admissible vectors in the query box, lazily, ordered by (h^2, k, r, s).
+
+    Cells are visited in (h^2, k) order and each yields its pairs in (r, s)
+    order, so hits stream out already sorted, identically for any worker
+    count.  With workers > 1, at most min(workers, CPUs) processes scan
+    cells ahead of the consumer.  Close the iterator when stopping early:
+    that shuts the pool down.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    cells = [(h2, k, query.r_max) for h2 in query.h2_values() for k in query.k_values()]
-    if workers == 1 or len(cells) <= 1:
-        per_cell = [_scan_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_scan_cell, cells))
+    return _stream_hits(query, _pool_size(workers))
 
-    hits: list[SearchHit] = []
-    for (h2, k, _), pairs in zip(cells, per_cell):
-        surface = K3Surface(h2)
-        for r, s in pairs:
-            v = MukaiVector(r, 1, s)
-            cert = build_certificate(surface, v, k)
-            hits.append(SearchHit(h2, k, v, cert.report, cert))
-    hits.sort(key=lambda h: (h.h_squared, h.k, h.v.r, h.v.s))
-    return hits
+
+def enumerate_hits(query: SearchQuery, workers: int = 1) -> list[SearchHit]:
+    """All admissible vectors in the query box as a list; see iter_hits."""
+    return list(iter_hits(query, workers))

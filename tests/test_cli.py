@@ -1,13 +1,18 @@
+import itertools
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from hilbstab import cli
 from hilbstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +204,166 @@ def test_out_writes_same_bytes_as_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+def test_out_search_writes_same_bytes_as_stdout(capsys, tmp_path):
+    _, stdout_text, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv")
+    target = tmp_path / "hits.csv"
+    code, out, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text(encoding="utf-8") == stdout_text
+    assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
+
+
+def test_out_unwritable_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
+def test_out_keeps_mode_of_existing_file(capsys, tmp_path):
+    target = tmp_path / "cert.json"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o600)
+    code, _, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert json.loads(target.read_text(encoding="utf-8"))["report"]["admissible"] is True
+
+
+def test_out_new_file_gets_umask_mode(capsys, tmp_path):
+    umask = os.umask(0o022)
+    try:
+        target = tmp_path / "cert.json"
+        code, _, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o644
+
+
+def test_out_writes_through_symlink(capsys, tmp_path):
+    _, stdout_text, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8")
+    (tmp_path / "data").mkdir()
+    real = tmp_path / "data" / "cert.json"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    code, out, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8") == stdout_text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.json"]
+    assert [p.name for p in real.parent.iterdir()] == ["cert.json"]
+
+
+def test_out_writes_into_fifo(capsys, tmp_path):
+    _, stdout_text, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv")
+    fifo = tmp_path / "hits.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def reader():
+        with open(fifo, encoding="utf-8", newline="") as fh:
+            received.append(fh.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    code, out, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(fifo))
+    thread.join(timeout=10)
+    assert code == 0 and out == ""
+    assert received == [stdout_text]
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["hits.fifo"]
+
+
+def test_out_directory_target_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "hits.csv"
+    target.write_text("old\n", encoding="utf-8")
+    row = cli.certificate_csv_row
+    calls = itertools.count()
+
+    def failing_row(cert):
+        if next(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return row(cert)
+
+    monkeypatch.setattr(cli, "certificate_csv_row", failing_row)
+    code, out, err = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "No space left on device" in err
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
+
+
+# ------------------------------------------------------- streaming, processes
+
+
+def run_module(*argv, timeout=10.0):
+    """`python -m hilbstab ARGV` in a subprocess; a hang fails after `timeout`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hilbstab", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+def test_search_k_beyond_every_h2_returns_at_once():
+    # k > (h^2 + 4) // 4 admits no rank, so the box holds no cell to scan
+    proc = run_module("search", "2", "1000000-1000000000000", "--limit", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_limit_over_huge_h2_range_stops_early(workers):
+    proc = run_module(
+        "search", "2-2000000000000", "2", "--limit", "1", "--workers", workers
+    )
+    assert proc.returncode == 0
+    hits = json.loads(proc.stdout)
+    assert [(h["input"]["h_squared"], h["input"]["r"], h["input"]["s"]) for h in hits] == [
+        ("4", "1", "3")
+    ]
+
+
+def test_search_broken_pipe_exits_2_silently():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hilbstab", "search", "2-1000", "2-4", "--csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        header = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away, as `| head -1` does
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert header.startswith(b"h_squared,k,r,m,s,")
+    assert proc.returncode == 2
+    assert err == b""
 
 
 # ------------------------------------------------------------ golden files

@@ -12,10 +12,14 @@ from hilbstab.conditions import (
 from hilbstab.hilb import HilbNSClass
 from hilbstab.lattice import K3Surface, MukaiVector, euler_char, mukai_square
 from hilbstab.pfunctor import tangent_match
+from hilbstab import search
 from hilbstab.search import (
     InvalidQuery,
     SearchQuery,
+    _cells,
+    _pool_size,
     enumerate_hits,
+    iter_hits,
     search_bounds,
 )
 
@@ -148,6 +152,52 @@ def test_worker_count_does_not_change_output():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         enumerate_hits(SearchQuery(50, 2), workers=0)
+    with pytest.raises(ValueError):
+        iter_hits(SearchQuery(50, 2), workers=0)  # raised before any hit is asked for
+
+
+def test_pool_size_never_exceeds_cpus(monkeypatch):
+    # computes the count only; no process is started
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+    assert _pool_size(1) == 1
+    assert _pool_size(2) == 2
+    assert _pool_size(10**9) == 2  # the affinity mask, not the host's CPUs
+    monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
+    assert _pool_size(10**9) == 64
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert _pool_size(10**9) == 1
+
+
+def test_cells_skip_only_cells_without_hits():
+    # the k clamp and the h^2 skip drop exactly cells the raw scan finds empty
+    query = SearchQuery((2, 40), (1, 12))
+    kept = [(h2, k) for h2, k, _ in _cells(query)]
+    assert kept == [(h2, k) for h2 in range(2, 41, 2) for k in range(1, 13)
+                    if 4 * k <= h2 + 4]
+    for h2 in range(2, 41, 2):
+        for k in range(1, 13):
+            if (h2, k) not in kept:
+                assert brute_force_hits(h2, k) == [], (h2, k)
+    assert list(_cells(SearchQuery(2, (100, 10**4)))) == []
+    assert next(_cells(SearchQuery((2, 10**4), (100, 200)))) == (396, 100, None)
+
+
+def test_iter_hits_scans_cells_on_demand(monkeypatch):
+    scanned = []
+    scan = search._scan_cell
+
+    def recording_scan(cell):
+        scanned.append(cell[:2])
+        return scan(cell)
+
+    monkeypatch.setattr(search, "_scan_cell", recording_scan)
+    hits = iter_hits(SearchQuery((2, 2000), 2))
+    assert scanned == []
+    first = next(hits)
+    hits.close()
+    assert (first.h_squared, first.k, first.v.r, first.v.s) == (4, 2, 1, 3)
+    assert scanned == [(4, 2)]
 
 
 # ------------------------------------------------- per-hit certificate audit
