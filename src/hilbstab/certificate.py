@@ -13,12 +13,10 @@ parse into.  Booleans stay JSON booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .conditions import AdmissibilityReport, admissibility_report
 from .conditions import extension_euler_direct, extension_euler_formula
 from .hilb import HilbNSClass, NegativeRank, image_c1, image_rank, product_c1, taut_c1, taut_rank
-from .lattice import K3Surface, MukaiVector, mukai_square
+from .lattice import K3Surface, MukaiVector, Value, mukai_square
 from .pfunctor import GradedDims, ext_dims_on_hilb, ext_dims_on_X
 
 NOTE_AMPLE_CLASS = "ample class H near h_k: exists, not computed"
@@ -35,25 +33,31 @@ NOTE_EMPTY_MODULI = (
 NOTE_NONPRIMITIVE_PRODUCT = "m != 1: product-space c1 not computed"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Everything the lattice pins down about one candidate."""
 
-    surface: K3Surface
-    k: int
-    v: MukaiVector
-    report: AdmissibilityReport
-    image_rank: int | None
-    image_c1: HilbNSClass | None
-    taut_rank: int | None
-    taut_c1: HilbNSClass | None
-    product_c1_a: int | None
-    moduli_dim: int | None
-    ext_on_X: GradedDims | None
-    ext_on_hilb: GradedDims | None
-    extension_euler_formula: int
-    extension_euler_direct: int
-    notes: tuple[str, ...]
+    def __init__(
+        self, surface: K3Surface, k: int, v: MukaiVector, report: AdmissibilityReport,
+        image_rank: int | None, image_c1: HilbNSClass | None, taut_rank: int | None,
+        taut_c1: HilbNSClass | None, product_c1_a: int | None, moduli_dim: int | None,
+        ext_on_X: GradedDims | None, ext_on_hilb: GradedDims | None,
+        extension_euler_formula: int, extension_euler_direct: int, notes: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "image_rank", image_rank)
+        object.__setattr__(self, "image_c1", image_c1)
+        object.__setattr__(self, "taut_rank", taut_rank)
+        object.__setattr__(self, "taut_c1", taut_c1)
+        object.__setattr__(self, "product_c1_a", product_c1_a)
+        object.__setattr__(self, "moduli_dim", moduli_dim)
+        object.__setattr__(self, "ext_on_X", ext_on_X)
+        object.__setattr__(self, "ext_on_hilb", ext_on_hilb)
+        object.__setattr__(self, "extension_euler_formula", extension_euler_formula)
+        object.__setattr__(self, "extension_euler_direct", extension_euler_direct)
+        object.__setattr__(self, "notes", notes)
 
 
 def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate:

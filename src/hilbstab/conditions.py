@@ -16,12 +16,12 @@ forces chi(G, G) >= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .lattice import (
     K3Surface,
     MukaiVector,
+    Value,
     dual_vector,
     euler_char,
     euler_pair,
@@ -39,25 +39,29 @@ class InconsistentCertificate(ValueError):
     """The requested certificate would contain a negative section count."""
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Value):
     """All intermediate quantities and verdicts for one candidate.
 
     Every field is a pure function of (h^2, k, r, m, s); the verdicts can be
     recomputed independently from the check_* functions below.
     """
 
-    chi: int
-    v_sq: int
-    threshold: int
-    margin: int
-    nonempty_ok: bool
-    ineq_ok: bool
-    locally_free_ok: bool
-    fine_ok: bool
-    gcd_triple: tuple[int, int, int]
-    gcd_value: int
-    primitive_ok: bool
+    def __init__(
+        self, chi: int, v_sq: int, threshold: int, margin: int, nonempty_ok: bool,
+        ineq_ok: bool, locally_free_ok: bool, fine_ok: bool,
+        gcd_triple: tuple[int, int, int], gcd_value: int, primitive_ok: bool,
+    ) -> None:
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "v_sq", v_sq)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "nonempty_ok", nonempty_ok)
+        object.__setattr__(self, "ineq_ok", ineq_ok)
+        object.__setattr__(self, "locally_free_ok", locally_free_ok)
+        object.__setattr__(self, "fine_ok", fine_ok)
+        object.__setattr__(self, "gcd_triple", gcd_triple)
+        object.__setattr__(self, "gcd_value", gcd_value)
+        object.__setattr__(self, "primitive_ok", primitive_ok)
 
     @property
     def admissible(self) -> bool:

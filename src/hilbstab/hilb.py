@@ -9,24 +9,22 @@ sum_i q_i^* h, and slopes there are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import factorial
 
-from .lattice import K3Surface, MukaiVector, euler_char
+from .lattice import K3Surface, MukaiVector, Value, euler_char
 
 
 class NegativeRank(ValueError):
     """The candidate's image bundle would have negative rank."""
 
 
-@dataclass(frozen=True)
-class HilbNSClass:
+class HilbNSClass(Value):
     """Class a*h_k + b*delta in NS(X^[k])."""
 
-    a: int
-    b: int
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: "HilbNSClass") -> "HilbNSClass":
         return HilbNSClass(self.a + other.a, self.b + other.b)
@@ -38,11 +36,11 @@ class HilbNSClass:
         return HilbNSClass(-self.a, -self.b)
 
 
-@dataclass(frozen=True)
-class ProductClass:
+class ProductClass(Value):
     """Class a * (sum_i q_i^* h) on the product X^k."""
 
-    a: int
+    def __init__(self, a: int) -> None:
+        object.__setattr__(self, "a", a)
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
         return ProductClass(self.a + other.a)
@@ -130,6 +128,8 @@ def slope_on_product(
     surface: K3Surface, k: int, c: ProductClass, rank: int
 ) -> Fraction:
     """Slope of a sheaf on X^k with c1 = a*(sum q_i^* h) and the given rank."""
+    from fractions import Fraction  # not at top level: no CLI path needs it
+
     if rank < 1:
         raise ValueError(f"slope is defined only for positive rank, got {rank}")
     return Fraction(c.a * product_selfintersection(surface, k), rank)

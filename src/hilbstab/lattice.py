@@ -8,15 +8,50 @@ integer or exact rational; nothing in this package touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class K3Surface:
+class Value:
+    """Immutable record whose fields are its constructor's parameters, in order.
+
+    Each subclass's __init__ sets every field once with object.__setattr__.
+    Instances compare equal only to instances of the same class with equal
+    fields, hash as the tuple of their fields, print as
+    `Name(field=value, ...)` and refuse assignment and deletion.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class K3Surface(Value):
     """A K3 surface X with NS(X) = Z*h, carried by the even integer h^2 >= 2."""
 
-    h_squared: int
+    def __init__(self, h_squared: int) -> None:
+        object.__setattr__(self, "h_squared", h_squared)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.h_squared, int):
@@ -27,8 +62,7 @@ class K3Surface:
             )
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Value):
     """Integer triple (r, m, s) for the Mukai vector (r, m*h, s).
 
     Components are unconstrained so that sums, differences and duals stay
@@ -36,9 +70,11 @@ class MukaiVector:
     actually need a sheaf behind the vector.
     """
 
-    r: int
-    m: int
-    s: int
+    def __init__(self, r: int, m: int, s: int) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("r", "m", "s"):
@@ -103,6 +139,8 @@ def ideal_sheaf_vector(k: int) -> MukaiVector:
 
 def slope_on_X(surface: K3Surface, v: MukaiVector) -> Fraction:
     """Slope with respect to h on the surface itself: (c1.h)/r = m*h^2/r."""
+    from fractions import Fraction  # not at top level: no CLI path needs it
+
     if v.r < 1:
         raise ValueError(f"slope is defined only for positive rank, got r={v.r}")
     return Fraction(v.m * surface.h_squared, v.r)

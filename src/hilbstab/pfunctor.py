@@ -19,28 +19,25 @@ of stable sheaves cannot exist, and raises NegativeExt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
-from .lattice import K3Surface, MukaiVector, mukai_pairing, mukai_square
+from .lattice import K3Surface, MukaiVector, Value, mukai_pairing, mukai_square
 
 
 class NegativeExt(ValueError):
     """An Ext dimension came out negative: the input pair is inconsistent."""
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Value):
     """Dimensions of a graded vector space, indexed from degree 0.
 
     Trailing zeros are stripped on construction, so two values are equal
     exactly when they agree in every degree.
     """
 
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(self.dims)
+    def __init__(self, dims: Iterable[int]) -> None:
+        dims = tuple(dims)
         for d in dims:
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"graded dimensions must be non-negative integers, got {d!r}")
@@ -140,10 +137,7 @@ def moduli_dim(surface: K3Surface, v: MukaiVector) -> int:
     return v_sq + 2
 
 
-class TangentMatch(NamedTuple):
-    dim_X: int
-    dim_hilb: int
-    match: bool
+TangentMatch = namedtuple("TangentMatch", ["dim_X", "dim_hilb", "match"])
 
 
 def tangent_match(surface: K3Surface, v: MukaiVector, k: int) -> TangentMatch:

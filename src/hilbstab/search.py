@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from itertools import chain, islice
-from typing import Callable, Iterator
 
 from .certificate import Certificate, build_certificate
 from .conditions import AdmissibilityReport, admissibility_report
-from .lattice import K3Surface, MukaiVector
+from .lattice import K3Surface, MukaiVector, Value
 
 
 # Cells in flight per pool process: enough to keep every process busy while
@@ -50,8 +49,7 @@ def _as_range(value: int | tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SearchQuery:
+class SearchQuery(Value):
     """Search space: h^2 value or inclusive even range, k value or range.
 
     r_max, when given, overrides the derived rank ceiling; it exists for
@@ -59,32 +57,36 @@ class SearchQuery:
     experiments.
     """
 
-    h_squared: int | tuple[int, int]
-    k: int | tuple[int, int]
-    r_max: int | None = None
-
-    def __post_init__(self) -> None:
-        h_lo, h_hi = _as_range(self.h_squared)
+    def __init__(
+        self, h_squared: int | tuple[int, int], k: int | tuple[int, int], r_max: int | None = None
+    ) -> None:
+        h_lo, h_hi = _as_range(h_squared)
         if h_lo < 2 or h_lo % 2 != 0 or h_hi % 2 != 0:
             raise InvalidQuery(
                 f"h_squared range must be positive and even-aligned, got {h_lo}-{h_hi}"
             )
-        k_lo, _ = _as_range(self.k)
+        k_lo, _ = _as_range(k)
         if k_lo < 1:
             raise InvalidQuery(f"k must be positive, got {k_lo}")
-        if self.r_max is not None and self.r_max < 1:
-            raise InvalidQuery(f"r_max override must be positive, got {self.r_max}")
+        if r_max is not None and r_max < 1:
+            raise InvalidQuery(f"r_max override must be positive, got {r_max}")
+        object.__setattr__(self, "h_squared", h_squared)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r_max", r_max)
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(Value):
     """One admissible vector with its report and full certificate."""
 
-    h_squared: int
-    k: int
-    v: MukaiVector
-    report: AdmissibilityReport
-    certificate: Certificate
+    def __init__(
+        self, h_squared: int, k: int, v: MukaiVector, report: AdmissibilityReport,
+        certificate: Certificate,
+    ) -> None:
+        object.__setattr__(self, "h_squared", h_squared)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def search_bounds(

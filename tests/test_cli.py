@@ -345,6 +345,15 @@ def test_search_limit_over_huge_h2_range_stops_early(workers):
     ]
 
 
+@pytest.mark.xfail(strict=True, reason="single huge cell scanned in full; ROADMAP item 2")
+def test_search_limit_in_single_huge_cell_returns_first_row():
+    # one (h^2, k) cell with O(h^2) candidates: the scan of the whole cell
+    # comes before its first hit
+    proc = run_module("search", "2000000000000000000000", "2", "--limit", "1", timeout=2.0)
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)) == 1
+
+
 def test_search_broken_pipe_exits_2_silently():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
