@@ -41,7 +41,7 @@ def main() -> None:
             if args.only_nonempty and not cell:
                 continue
             rendered = ", ".join(
-                f"({h.v.r},1,{h.v.s}) m={h.report.margin}" for h in cell
+                f"({h.v.r},1,{h.v.s}) m={h.certificate.report.margin}" for h in cell
             )
             print(f"{h2:>5} {k:>3} {len(cell):>5}  {rendered}")
 

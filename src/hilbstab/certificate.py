@@ -6,17 +6,20 @@ whose preconditions fail (k = 1 has no rank-2 Neron-Severi basis, m != 1
 has no product-space comparison, v^2 < -2 has empty moduli) are left
 unset and explained by a fixed note string.
 
-Integer payloads are rendered as decimal strings in JSON: h^2 is
-unbounded, so values can exceed any fixed-width integer a consumer might
-parse into.  Booleans stay JSON booleans.
+Both projections, the nested JSON dict and the flat CSV row, are read off
+one field table, FIELDS.  Integer payloads are rendered as decimal strings
+in JSON: h^2 is unbounded, so values can exceed any fixed-width integer a
+consumer might parse into.  Booleans stay JSON booleans.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .conditions import AdmissibilityReport, admissibility_report
 from .conditions import extension_euler_direct, extension_euler_formula
 from .hilb import HilbNSClass, NegativeRank, image_c1, image_rank, product_c1, taut_c1, taut_rank
-from .lattice import K3Surface, MukaiVector, Value, mukai_square
+from .lattice import K3Surface, MukaiVector, Value
 from .pfunctor import GradedDims, ext_dims_on_hilb, ext_dims_on_X
 
 NOTE_AMPLE_CLASS = "ample class H near h_k: exists, not computed"
@@ -84,8 +87,8 @@ def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate
         img_c1 = t_rank = t_c1 = prod_a = None
         notes.append(NOTE_RANK_TWO_BASIS)
 
-    if mukai_square(surface, v) >= -2:
-        mod_dim = mukai_square(surface, v) + 2
+    if report.v_sq >= -2:
+        mod_dim = report.v_sq + 2
         ext_x = ext_dims_on_X(surface, v, v, same_object=True)
         ext_h = ext_dims_on_hilb(surface, v, v, k, same_object=True)
     else:
@@ -114,177 +117,84 @@ def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate
     )
 
 
-def _int_str(x: int | None) -> str | None:
-    return None if x is None else str(x)
+# The certificate schema, one row per field in output order: its JSON path
+# (group.key, or a bare key at the top level), its CSV column(s) and the
+# Certificate attribute it reads.  A field is added here and nowhere else.
+FIELDS = (
+    ("input.h_squared", "h_squared", "surface.h_squared"),
+    ("input.k", "k", "k"),
+    ("input.r", "r", "v.r"),
+    ("input.m", "m", "v.m"),
+    ("input.s", "s", "v.s"),
+    ("report.chi", "chi", "report.chi"),
+    ("report.v_sq", "v_sq", "report.v_sq"),
+    ("report.threshold", "threshold", "report.threshold"),
+    ("report.margin", "margin", "report.margin"),
+    ("report.primitive_ok", "primitive_ok", "report.primitive_ok"),
+    ("report.nonempty_ok", "nonempty_ok", "report.nonempty_ok"),
+    ("report.ineq_ok", "ineq_ok", "report.ineq_ok"),
+    ("report.locally_free_ok", "locally_free_ok", "report.locally_free_ok"),
+    ("report.fine_ok", "fine_ok", "report.fine_ok"),
+    ("report.gcd_triple", "gcd_triple", "report.gcd_triple"),
+    ("report.gcd_value", "gcd_value", "report.gcd_value"),
+    ("report.admissible", "admissible", "report.admissible"),
+    ("image.rank", "image_rank", "image_rank"),
+    ("image.c1", "image_c1_hk image_c1_delta", "image_c1"),
+    ("taut.rank", "taut_rank", "taut_rank"),
+    ("taut.c1", "taut_c1_hk taut_c1_delta", "taut_c1"),
+    ("product_c1", "product_c1", "product_c1_a"),
+    ("moduli_dim", "moduli_dim", "moduli_dim"),
+    ("ext_on_X", "ext_on_X", "ext_on_X"),
+    ("ext_on_hilb", "ext_on_hilb", "ext_on_hilb"),
+    ("extension_euler.formula", "extension_euler_formula", "extension_euler_formula"),
+    ("extension_euler.direct", "extension_euler_direct", "extension_euler_direct"),
+)
+
+# (group, key, CSV width, getter) per field; group "" is the top level.
+_COMPILED = [
+    (*path.rpartition(".")[::2], len(columns.split()), attrgetter(attr))
+    for path, columns, attr in FIELDS
+]
+
+CSV_COLUMNS = [column for _, columns, _ in FIELDS for column in columns.split()]
 
 
-def _class_pair(c: HilbNSClass | None) -> list[str] | None:
-    return None if c is None else [str(c.a), str(c.b)]
-
-
-def _dims_list(g: GradedDims | None) -> list[str] | None:
-    return None if g is None else [str(d) for d in g.dims]
+def _json_value(x: object) -> object:
+    """A field as JSON: null, a boolean, a decimal string or a list of them."""
+    if x is None or x is True or x is False:
+        return x
+    if isinstance(x, HilbNSClass):
+        x = (x.a, x.b)
+    if isinstance(x, (tuple, GradedDims)):
+        return [str(d) for d in x]
+    return str(x)
 
 
 def certificate_to_dict(cert: Certificate, include_notes: bool = True) -> dict:
     """JSON-ready dict with a fixed field order and string-encoded integers."""
-    rep = cert.report
-    out = {
-        "input": {
-            "h_squared": str(cert.surface.h_squared),
-            "k": str(cert.k),
-            "r": str(cert.v.r),
-            "m": str(cert.v.m),
-            "s": str(cert.v.s),
-        },
-        "report": {
-            "chi": str(rep.chi),
-            "v_sq": str(rep.v_sq),
-            "threshold": str(rep.threshold),
-            "margin": str(rep.margin),
-            "primitive_ok": rep.primitive_ok,
-            "nonempty_ok": rep.nonempty_ok,
-            "ineq_ok": rep.ineq_ok,
-            "locally_free_ok": rep.locally_free_ok,
-            "fine_ok": rep.fine_ok,
-            "gcd_triple": [str(x) for x in rep.gcd_triple],
-            "gcd_value": str(rep.gcd_value),
-            "admissible": rep.admissible,
-        },
-        "image": {"rank": _int_str(cert.image_rank), "c1": _class_pair(cert.image_c1)},
-        "taut": {"rank": _int_str(cert.taut_rank), "c1": _class_pair(cert.taut_c1)},
-        "product_c1": _int_str(cert.product_c1_a),
-        "moduli_dim": _int_str(cert.moduli_dim),
-        "ext_on_X": _dims_list(cert.ext_on_X),
-        "ext_on_hilb": _dims_list(cert.ext_on_hilb),
-        "extension_euler": {
-            "formula": str(cert.extension_euler_formula),
-            "direct": str(cert.extension_euler_direct),
-        },
-    }
+    out: dict = {}
+    for group, key, _, get in _COMPILED:
+        (out.setdefault(group, {}) if group else out)[key] = _json_value(get(cert))
     if include_notes:
         out["notes"] = list(cert.notes)
     return out
 
 
-def certificate_from_dict(data: dict) -> Certificate:
-    """Inverse of certificate_to_dict (lossless round trip)."""
-    inp = data["input"]
-    rep = data["report"]
-
-    def opt_int(x: str | None) -> int | None:
-        return None if x is None else int(x)
-
-    def opt_class(pair: list[str] | None) -> HilbNSClass | None:
-        return None if pair is None else HilbNSClass(int(pair[0]), int(pair[1]))
-
-    def opt_dims(dims: list[str] | None) -> GradedDims | None:
-        return None if dims is None else GradedDims(tuple(int(d) for d in dims))
-
-    report = AdmissibilityReport(
-        chi=int(rep["chi"]),
-        v_sq=int(rep["v_sq"]),
-        threshold=int(rep["threshold"]),
-        margin=int(rep["margin"]),
-        nonempty_ok=rep["nonempty_ok"],
-        ineq_ok=rep["ineq_ok"],
-        locally_free_ok=rep["locally_free_ok"],
-        fine_ok=rep["fine_ok"],
-        gcd_triple=tuple(int(x) for x in rep["gcd_triple"]),
-        gcd_value=int(rep["gcd_value"]),
-        primitive_ok=rep["primitive_ok"],
-    )
-    return Certificate(
-        surface=K3Surface(int(inp["h_squared"])),
-        k=int(inp["k"]),
-        v=MukaiVector(int(inp["r"]), int(inp["m"]), int(inp["s"])),
-        report=report,
-        image_rank=opt_int(data["image"]["rank"]),
-        image_c1=opt_class(data["image"]["c1"]),
-        taut_rank=opt_int(data["taut"]["rank"]),
-        taut_c1=opt_class(data["taut"]["c1"]),
-        product_c1_a=opt_int(data["product_c1"]),
-        moduli_dim=opt_int(data["moduli_dim"]),
-        ext_on_X=opt_dims(data["ext_on_X"]),
-        ext_on_hilb=opt_dims(data["ext_on_hilb"]),
-        extension_euler_formula=int(data["extension_euler"]["formula"]),
-        extension_euler_direct=int(data["extension_euler"]["direct"]),
-        notes=tuple(data.get("notes", ())),
-    )
-
-
-CSV_COLUMNS = [
-    "h_squared",
-    "k",
-    "r",
-    "m",
-    "s",
-    "chi",
-    "v_sq",
-    "threshold",
-    "margin",
-    "primitive_ok",
-    "nonempty_ok",
-    "ineq_ok",
-    "locally_free_ok",
-    "fine_ok",
-    "gcd_triple",
-    "gcd_value",
-    "admissible",
-    "image_rank",
-    "image_c1_hk",
-    "image_c1_delta",
-    "taut_rank",
-    "taut_c1_hk",
-    "taut_c1_delta",
-    "product_c1",
-    "moduli_dim",
-    "ext_on_X",
-    "ext_on_hilb",
-    "extension_euler_formula",
-    "extension_euler_direct",
-]
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
-
-
 def certificate_csv_row(cert: Certificate) -> list[str]:
-    """Flat projection of a certificate, aligned with CSV_COLUMNS (notes dropped)."""
-    rep = cert.report
-    return [
-        _cell(cert.surface.h_squared),
-        _cell(cert.k),
-        _cell(cert.v.r),
-        _cell(cert.v.m),
-        _cell(cert.v.s),
-        _cell(rep.chi),
-        _cell(rep.v_sq),
-        _cell(rep.threshold),
-        _cell(rep.margin),
-        _cell(rep.primitive_ok),
-        _cell(rep.nonempty_ok),
-        _cell(rep.ineq_ok),
-        _cell(rep.locally_free_ok),
-        _cell(rep.fine_ok),
-        " ".join(str(x) for x in rep.gcd_triple),
-        _cell(rep.gcd_value),
-        _cell(rep.admissible),
-        _cell(cert.image_rank),
-        _cell(cert.image_c1.a if cert.image_c1 is not None else None),
-        _cell(cert.image_c1.b if cert.image_c1 is not None else None),
-        _cell(cert.taut_rank),
-        _cell(cert.taut_c1.a if cert.taut_c1 is not None else None),
-        _cell(cert.taut_c1.b if cert.taut_c1 is not None else None),
-        _cell(cert.product_c1_a),
-        _cell(cert.moduli_dim),
-        "" if cert.ext_on_X is None else " ".join(str(d) for d in cert.ext_on_X.dims),
-        "" if cert.ext_on_hilb is None else " ".join(str(d) for d in cert.ext_on_hilb.dims),
-        _cell(cert.extension_euler_formula),
-        _cell(cert.extension_euler_direct),
-    ]
+    """Flat projection of a certificate, aligned with CSV_COLUMNS (notes dropped).
+
+    Unset fields are empty cells and verdicts are true/false; a list spreads
+    over its columns when it has several, and is space-joined otherwise.
+    """
+    row: list[str] = []
+    for _, _, width, get in _COMPILED:
+        value = _json_value(get(cert))
+        if value is None:
+            row += [""] * width
+        elif value is True or value is False:
+            row.append("true" if value else "false")
+        elif isinstance(value, list):
+            row += value if width > 1 else [" ".join(value)]
+        else:
+            row.append(value)
+    return row

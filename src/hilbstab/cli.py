@@ -3,9 +3,10 @@
 Exit codes: 0 on success (and on admissible with --strict), 1 on a
 semantic negative (--strict with a non-admissible candidate, or an Ext
 table that cannot exist), 2 on malformed input or an I/O failure (an
-unwritable --out, or a reader that closed the pipe).  Output goes to
-stdout or to --out; JSON is the default format, --csv selects the flat
-projection.  Search output is written record by record as hits are found.
+unwritable --out, a full stdout, or a reader that closed the pipe).
+Output goes to stdout or to --out; JSON is the default format, --csv
+selects the flat projection.  Search output is written record by record
+as hits are found.
 """
 
 from __future__ import annotations
@@ -279,24 +280,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _drop_unflushable_stdout() -> None:
+    """If stdout cannot take what is still buffered (a reader that is gone,
+    a full device), send it to devnull so the flush at exit raises nothing."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.func(args)
         sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader is gone (say `| head`): send what is still buffered to
-        # devnull so the flush at exit raises nothing either.
+    except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or arguments argparse rejects
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader is gone (say `| head`): exit quietly
+        _drop_unflushable_stdout()
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _drop_unflushable_stdout()
         return 2
 
 

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator
 from itertools import chain, islice
 
 from .certificate import Certificate, build_certificate
-from .conditions import AdmissibilityReport, admissibility_report
+from .conditions import admissibility_report
 from .lattice import K3Surface, MukaiVector, Value
 
 
@@ -76,16 +76,12 @@ class SearchQuery(Value):
 
 
 class SearchHit(Value):
-    """One admissible vector with its report and full certificate."""
+    """One admissible vector with its full certificate (report included)."""
 
-    def __init__(
-        self, h_squared: int, k: int, v: MukaiVector, report: AdmissibilityReport,
-        certificate: Certificate,
-    ) -> None:
+    def __init__(self, h_squared: int, k: int, v: MukaiVector, certificate: Certificate) -> None:
         object.__setattr__(self, "h_squared", h_squared)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "report", report)
         object.__setattr__(self, "certificate", certificate)
 
 
@@ -190,7 +186,7 @@ def _stream_hits(query: SearchQuery, processes: int) -> Iterator[SearchHit]:
             for r, s in pairs:
                 v = MukaiVector(r, 1, s)
                 cert = build_certificate(surface, v, k)
-                yield SearchHit(h2, k, v, cert.report, cert)
+                yield SearchHit(h2, k, v, cert)
     finally:
         scanned.close()
 

@@ -1,5 +1,3 @@
-import json
-
 from hilbstab.certificate import (
     CSV_COLUMNS,
     NOTE_AMPLE_CLASS,
@@ -9,7 +7,6 @@ from hilbstab.certificate import (
     NOTE_RANK_TWO_BASIS,
     build_certificate,
     certificate_csv_row,
-    certificate_from_dict,
     certificate_to_dict,
 )
 from hilbstab.hilb import HilbNSClass
@@ -66,14 +63,6 @@ def test_certificate_empty_moduli_drops_ext_tables():
     assert cert.ext_on_X is None
     assert cert.ext_on_hilb is None
     assert NOTE_EMPTY_MODULI in cert.notes
-
-
-def test_json_round_trip_is_lossless():
-    for args in [(50, (3, 1, 8), 2), (186, (5, 1, 18), 3), (50, (3, 2, 8), 1)]:
-        h2, (r, m, s), k = args
-        cert = build_certificate(K3Surface(h2), MukaiVector(r, m, s), k)
-        encoded = json.dumps(certificate_to_dict(cert, include_notes=True))
-        assert certificate_from_dict(json.loads(encoded)) == cert
 
 
 def test_json_integers_are_decimal_strings():

@@ -375,6 +375,37 @@ def test_search_broken_pipe_exits_2_silently():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "50", "2", "3", "1", "8"],
+        ["report", "50", "2", "3", "1", "8"],
+        ["ext", "50", "2", "3", "1", "8"],
+        ["search", "50", "2"],
+        ["--help"],
+    ],
+    ids=["check", "report", "ext", "search", "help"],
+)
+def test_full_stdout_exits_2(argv):
+    # With buffered stdout the output only meets the full device when it is
+    # flushed, after the command has returned.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilbstab", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+    assert proc.returncode == 2
+    assert "No space left on device" in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 # ------------------------------------------------------------ golden files
 
 

@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -91,7 +96,7 @@ def test_bounds_complete_against_raw_scan(h_squared, k):
 def test_enumerate_hit_set_50_2():
     hits = enumerate_hits(SearchQuery(50, 2))
     assert [(h.v.r, h.v.m, h.v.s) for h in hits] == [(1, 1, 26), (2, 1, 13), (3, 1, 8)]
-    assert all(h.report.admissible for h in hits)
+    assert all(h.certificate.report.admissible for h in hits)
 
 
 def test_enumerate_contains_worked_example_b():
@@ -253,3 +258,20 @@ def test_report_flags_independent_of_each_other():
             }
             assert got == admissible
             assert admissible <= all_but_local_freeness
+
+
+def test_survey_script_counts_every_hit():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "survey_hits.py"),
+         "--h2-max", "60", "--k-min", "2", "--k-max", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    total = re.search(r"^total hits: (\d+) over ", proc.stdout, re.MULTILINE)
+    assert int(total.group(1)) == len(enumerate_hits(SearchQuery((2, 60), (2, 3))))

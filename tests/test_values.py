@@ -67,9 +67,9 @@ CASES = [
     (SearchQuery, ("h_squared", "k", "r_max"), ((2, 10), (2, 3), None), (50, 2, 7)),
     (
         SearchHit,
-        ("h_squared", "k", "v", "report", "certificate"),
-        (50, 2, V, REPORT, CERT),
-        (186, 3, OTHER_CERT.v, OTHER_CERT.report, OTHER_CERT),
+        ("h_squared", "k", "v", "certificate"),
+        (50, 2, V, CERT),
+        (186, 3, OTHER_CERT.v, OTHER_CERT),
     ),
 ]
 IDS = [c[0].__name__ for c in CASES]
@@ -205,7 +205,7 @@ def test_search_query_rejects_bad_ranges(args):
         (MukaiVector, (3, 1, 8), {"r": 3}),
         (HilbNSClass, (1,), {"c": 2}),
         (ProductClass, (), {}),
-        (SearchHit, (50, 2, V, REPORT), {}),
+        (SearchHit, (50, 2, V), {}),
         (SearchQuery, (50,), {}),
     ],
 )
