@@ -3,10 +3,11 @@
 Exit codes: 0 on success (and on admissible with --strict), 1 on a
 semantic negative (--strict with a non-admissible candidate, or an Ext
 table that cannot exist), 2 on malformed input or an I/O failure (an
-unwritable --out, a full stdout, or a reader that closed the pipe).
-Output goes to stdout or to --out; JSON is the default format, --csv
-selects the flat projection.  Search output is written record by record
-as hits are found.
+unwritable --out, a full or closed stdout, or a reader that closed the
+pipe).  A closed or full stderr loses only the error message, never the
+exit code.  Output goes to stdout or to --out; JSON is the default format,
+--csv selects the flat projection.  Search output is written record by
+record as hits are found.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import re
 import stat
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .certificate import (
     CSV_COLUMNS,
@@ -35,8 +36,6 @@ from .search import InvalidQuery, SearchQuery, enumerate_hits, iter_hits  # noqa
 
 _RANGE_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
-EXT_CSV_COLUMNS = ["space", "dims"]
-
 
 def _parse_range(text: str) -> int | tuple[int, int]:
     m = _RANGE_RE.match(text)
@@ -47,53 +46,53 @@ def _parse_range(text: str) -> int | tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render_json(value) -> str:
+    return json.dumps(value, indent=2)
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
+def _render_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _write_json_list(records, out) -> None:
-    """Write json.dumps(list(records), indent=2) + "\n" one record at a time.
+def _json_list(values):
+    """The chunks of _render_json(list(values)) + "\n", one chunk per value.
 
-    Each record is encoded on its own and indented one level by replacing
-    its newlines; encoded JSON holds no raw newline besides indentation.
+    Each value is rendered on its own and indented one level by replacing
+    its newlines; rendered JSON holds no raw newline besides indentation.
     """
-    encoder = json.JSONEncoder(indent=2)
     sep = "[\n  "
-    for record in records:
-        out.write(sep + encoder.encode(record).replace("\n", "\n  "))
+    for value in values:
+        yield sep + _render_json(value).replace("\n", "\n  ")
         sep = ",\n  "
-    out.write("[]\n" if sep == "[\n  " else "\n]\n")
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _write_to(out_path: str | None, write) -> None:
-    """Call write(stream) on stdout, or on a file that replaces out_path.
+def _emit(args: argparse.Namespace, chunks) -> None:
+    """Write the text chunks to stdout, or to a file that replaces args.out.
 
+    The chunks may be produced lazily, so output streams as it is made.
     A regular (or new) file is written beside its resolved path and moved
-    onto it only once write returns, so a failure never leaves a truncated
-    output behind; a symlink is written through and the file keeps its
-    mode.  Anything else (a device, a FIFO), or a target whose directory
-    takes no new file, is written in place.
+    onto it only once every chunk is written, so a failure never leaves a
+    truncated output behind; a symlink is written through and the file
+    keeps its mode.  Anything else (a device, a FIFO), or a target whose
+    directory takes no new file, is written in place.
     """
-    if out_path is None:
-        write(sys.stdout)
+    if args.out is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
+        sys.stdout.writelines(chunks)
         return
-    real = os.path.realpath(out_path)
+    real = os.path.realpath(args.out)
     tmp = _temp_beside(real) if not os.path.exists(real) or os.path.isfile(real) else None
     if tmp is None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         return
     try:
         with os.fdopen(tmp[0], "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+            fh.writelines(chunks)
         os.replace(tmp[1], real)
     except BaseException:
         os.unlink(tmp[1])
@@ -121,33 +120,21 @@ def _temp_beside(path: str) -> tuple[int, str] | None:
     return fd, name
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    _write_to(out_path, lambda out: out.write(text))
-
-
 def _candidate(args: argparse.Namespace) -> tuple[K3Surface, MukaiVector]:
     return K3Surface(args.h2), MukaiVector(args.r, args.m, args.s)
 
 
-def _cmd_certificate(args: argparse.Namespace, include_notes: bool) -> int:
+def _cmd_certificate(args: argparse.Namespace) -> int:
     surface, v = _candidate(args)
     cert = build_certificate(surface, v, args.k)
     if args.csv:
-        text = _render_csv(CSV_COLUMNS, [certificate_csv_row(cert)])
+        chunks = [_render_csv([CSV_COLUMNS, certificate_csv_row(cert)])]
     else:
-        text = _render_json(certificate_to_dict(cert, include_notes=include_notes))
-    _emit(text, args.out)
+        chunks = [_render_json(certificate_to_dict(cert, include_notes=args.notes)), "\n"]
+    _emit(args, chunks)
     if args.strict and not cert.report.admissible:
         return 1
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    return _cmd_certificate(args, include_notes=False)
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    return _cmd_certificate(args, include_notes=True)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -155,21 +142,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
     query = SearchQuery(_parse_range(args.h2), _parse_range(args.k))
     hits = iter_hits(query, workers=args.workers)
-
-    def write(out) -> None:
-        limited = islice(hits, args.limit)
-        if args.csv:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(certificate_csv_row(h.certificate) for h in limited)
-        else:
-            _write_json_list(
-                (certificate_to_dict(h.certificate, include_notes=True) for h in limited),
-                out,
-            )
-
+    certs = (h.certificate for h in islice(hits, args.limit))
+    if args.csv:
+        rows = chain([CSV_COLUMNS], map(certificate_csv_row, certs))
+        chunks = (_render_csv([row]) for row in rows)
+    else:
+        chunks = _json_list(certificate_to_dict(c, include_notes=True) for c in certs)
     try:
-        _write_to(args.out, write)
+        _emit(args, chunks)
     finally:
         hits.close()
     return 0
@@ -180,19 +160,15 @@ def _cmd_ext(args: argparse.Namespace) -> int:
     if v.r < 1:
         raise ValueError(f"rank must be positive, got r={v.r}")
     same = not args.distinct
-    try:
-        on_x = ext_dims_on_X(surface, v, v, same_object=same)
-        on_hilb = ext_dims_on_hilb(surface, v, v, args.k, same_object=same)
-    except NegativeExt as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    on_x = ext_dims_on_X(surface, v, v, same_object=same)
+    on_hilb = ext_dims_on_hilb(surface, v, v, args.k, same_object=same)
     # Render over the full degree range of each space: 0..2 on the surface,
     # 0..2k on the Hilbert scheme (canonical GradedDims strips trailing zeros).
     x_cells = [str(on_x[i]) for i in range(3)]
     hilb_cells = [str(on_hilb[i]) for i in range(2 * args.k + 1)]
     if args.csv:
-        rows = [["X", " ".join(x_cells)], ["hilb", " ".join(hilb_cells)]]
-        text = _render_csv(EXT_CSV_COLUMNS, rows)
+        rows = [["space", "dims"], ["X", " ".join(x_cells)], ["hilb", " ".join(hilb_cells)]]
+        chunks = [_render_csv(rows)]
     else:
         payload = {
             "input": {
@@ -206,8 +182,8 @@ def _cmd_ext(args: argparse.Namespace) -> int:
             "ext_on_X": x_cells,
             "ext_on_hilb": hilb_cells,
         }
-        text = _render_json(payload)
-    _emit(text, args.out)
+        chunks = [_render_json(payload), "\n"]
+    _emit(args, chunks)
     return 0
 
 
@@ -236,21 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="certificate for one candidate")
-    _add_candidate_args(p_check)
-    p_check.add_argument(
-        "--strict", action="store_true", help="exit 1 unless admissible"
-    )
-    _add_output_flags(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_report = sub.add_parser("report", help="check with explanatory notes included")
-    _add_candidate_args(p_report)
-    p_report.add_argument(
-        "--strict", action="store_true", help="exit 1 unless admissible"
-    )
-    _add_output_flags(p_report)
-    p_report.set_defaults(func=_cmd_report)
+    for name, notes, text in (
+        ("check", False, "certificate for one candidate"),
+        ("report", True, "check with explanatory notes included"),
+    ):
+        p_cert = sub.add_parser(name, help=text)
+        _add_candidate_args(p_cert)
+        p_cert.add_argument(
+            "--strict", action="store_true", help="exit 1 unless admissible"
+        )
+        _add_output_flags(p_cert)
+        p_cert.set_defaults(func=_cmd_certificate, notes=notes)
 
     p_search = sub.add_parser("search", help="enumerate all admissible vectors")
     p_search.add_argument("h2", help="even h^2 or inclusive range LO-HI")
@@ -280,18 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _drop_unflushable_stdout() -> None:
-    """If stdout cannot take what is still buffered (a reader that is gone,
-    a full device), send it to devnull so the flush at exit raises nothing."""
+def _settle(stream) -> None:
+    """Flush a standard stream unless it is closed; if it cannot take what
+    is buffered (a reader that is gone, a full device), point it at devnull
+    so the flush at exit raises nothing."""
     try:
-        sys.stdout.flush()
+        if stream is not None:
+            stream.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # stderr is closed: print its messages nowhere, not on stdout
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -299,15 +275,19 @@ def main(argv: list[str] | None = None) -> int:
             code = exc.code if isinstance(exc.code, int) else 2
         else:
             code = args.func(args)
-        sys.stdout.flush()
-        return code
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone (say `| head`): exit quietly
-        _drop_unflushable_stdout()
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _drop_unflushable_stdout()
-        return 2
+        code = 2
+    except (ValueError, OSError) as exc:  # NegativeExt: an Ext table that cannot exist
+        code = 1 if isinstance(exc, NegativeExt) else 2
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr is full as well
+            pass
+    _settle(sys.stdout)
+    _settle(sys.stderr)
+    return code
 
 
 def console_entry() -> None:

@@ -50,16 +50,13 @@ class K3Surface(Value):
     """A K3 surface X with NS(X) = Z*h, carried by the even integer h^2 >= 2."""
 
     def __init__(self, h_squared: int) -> None:
-        object.__setattr__(self, "h_squared", h_squared)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.h_squared, int):
+        if not isinstance(h_squared, int):
             raise ValueError("h_squared must be an integer")
-        if self.h_squared < 2 or self.h_squared % 2 != 0:
+        if h_squared < 2 or h_squared % 2 != 0:
             raise ValueError(
-                f"h_squared must be a positive even integer, got {self.h_squared}"
+                f"h_squared must be a positive even integer, got {h_squared}"
             )
+        object.__setattr__(self, "h_squared", h_squared)
 
 
 class MukaiVector(Value):
@@ -74,9 +71,6 @@ class MukaiVector(Value):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "s", s)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         for name in ("r", "m", "s"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"MukaiVector component {name} must be an integer")

@@ -406,6 +406,77 @@ def test_full_stdout_exits_2(argv):
     assert "Exception ignored" not in proc.stderr
 
 
+# ------------------------------------------------------- closed standard streams
+
+
+def run_shell(redirect, *argv, buffered=False):
+    """`python -m hilbstab ARGV REDIRECT` through sh, which can close fd 1 or 2."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        ["sh", "-c", f'"$0" -m hilbstab "$@" {redirect}', sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+
+
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+CLOSED_STREAM_CASES = [
+    pytest.param(">&-", ["check", "50", "2", "3", "1", "8"], 2, id="check-no-stdout"),
+    pytest.param(">&-", ["report", "50", "2", "3", "1", "8", "--csv"], 2, id="report-no-stdout"),
+    pytest.param(">&-", ["ext", "50", "2", "3", "1", "8"], 2, id="ext-no-stdout"),
+    pytest.param(">&-", ["search", "50", "2"], 2, id="search-no-stdout"),
+    pytest.param(
+        ">&-", ["search", "2-60", "2-3", "--csv", "--workers", "2"], 2, id="pool-no-stdout"
+    ),
+    pytest.param("2>&-", ["check", "50", "x", "3", "1", "8"], 2, id="bad-argument-no-stderr"),
+    pytest.param(
+        "2>&-", ["check", "50", "2", "3", "1", "8", "--out", "/nonexistent/dir/out"], 2,
+        id="bad-out-no-stderr",
+    ),
+    pytest.param("2>&-", ["ext", "50", "2", "1", "0", "5"], 1, id="negative-ext-no-stderr"),
+    pytest.param(
+        "2>&- >&-", ["check", "50", "2", "3", "1", "8", "--strict"], 2, id="no-stdout-no-stderr"
+    ),
+    pytest.param(
+        "2>&- >/dev/full", ["check", "50", "2", "3", "1", "8"], 2, id="full-stdout-no-stderr",
+        marks=NO_DEV_FULL,
+    ),
+    pytest.param(
+        "2>/dev/full", ["check", "50", "2", "3", "1", "8", "--out", "/nonexistent/dir/out"], 2,
+        id="bad-out-full-stderr", marks=NO_DEV_FULL,
+    ),
+]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("redirect,argv,code", CLOSED_STREAM_CASES)
+def test_closed_stream_keeps_exit_code(redirect, argv, code, buffered):
+    proc = run_shell(redirect, *argv, buffered=buffered)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    if redirect == ">&-":
+        assert proc.stderr == "error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_out_with_closed_stdout_exits_0(tmp_path, buffered):
+    target = tmp_path / "check.csv"
+    argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", str(target)]
+    proc = run_shell(">&-", *argv, buffered=buffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert target.read_text(encoding="utf-8") == (GOLDEN / "check_50_2_3_1_8.csv").read_text(
+        encoding="utf-8"
+    )
+
+
 # ------------------------------------------------------------ golden files
 
 

@@ -1,12 +1,14 @@
 """Streamed `search` output against two whole-list renderings.
 
 The CLI writes search output record by record.  Its bytes must equal the
-rendering of the complete, truncated hit list, both as the program renders
-a list (`json.dumps(..., indent=2)`, `_render_csv`) and as the independent
-oracle in `perfbench/oracle.py` derives it from the conditions alone.
+rendering of the complete, truncated hit list, both as one call of
+`json.dumps(..., indent=2)` or of a `csv.writer` here renders the list, and
+as the independent oracle in `perfbench/oracle.py` derives it from the
+conditions alone.
 """
 
 import contextlib
+import csv as csv_module
 import importlib.util
 import io
 import json
@@ -16,7 +18,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from hilbstab.certificate import CSV_COLUMNS, certificate_csv_row, certificate_to_dict
-from hilbstab.cli import _render_csv, main
+from hilbstab.cli import main
 from hilbstab.search import SearchQuery, enumerate_hits
 
 _ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
@@ -36,7 +38,11 @@ def streamed(argv: list[str]) -> str:
 def whole_list(h2: tuple[int, int], k: tuple[int, int], csv: bool, limit) -> str:
     hits = enumerate_hits(SearchQuery(h2, k))[:limit]
     if csv:
-        return _render_csv(CSV_COLUMNS, [certificate_csv_row(h.certificate) for h in hits])
+        buf = io.StringIO()
+        writer = csv_module.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(certificate_csv_row(h.certificate) for h in hits)
+        return buf.getvalue()
     return json.dumps(
         [certificate_to_dict(h.certificate, include_notes=True) for h in hits], indent=2
     ) + "\n"
