@@ -31,8 +31,8 @@ def main() -> None:
     hits = enumerate_hits(query, workers=args.workers)
 
     by_cell: dict[tuple[int, int], list] = {}
-    for h in hits:
-        by_cell.setdefault((h.h_squared, h.k), []).append(h)
+    for c in hits:
+        by_cell.setdefault((c.surface.h_squared, c.k), []).append(c)
 
     print(f"{'h^2':>5} {'k':>3} {'hits':>5}  vectors (r,1,s) with margin")
     for h2 in range(2, args.h2_max + 1, 2):
@@ -41,7 +41,7 @@ def main() -> None:
             if args.only_nonempty and not cell:
                 continue
             rendered = ", ".join(
-                f"({h.v.r},1,{h.v.s}) m={h.certificate.report.margin}" for h in cell
+                f"({c.v.r},1,{c.v.s}) m={c.report.margin}" for c in cell
             )
             print(f"{h2:>5} {k:>3} {len(cell):>5}  {rendered}")
 
@@ -51,7 +51,7 @@ def main() -> None:
     print(f"total hits: {len(hits)} over {total_cells} cells")
     for n in sorted(counts):
         print(f"  cells with {n} hit(s): {counts[n]}")
-    ranks = Counter(h.v.r for h in hits)
+    ranks = Counter(c.v.r for c in hits)
     print("  hits by rank:", dict(sorted(ranks.items())))
 
 

@@ -90,7 +90,7 @@ def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate
     if report.v_sq >= -2:
         mod_dim = report.v_sq + 2
         ext_x = ext_dims_on_X(surface, v, v, same_object=True)
-        ext_h = ext_dims_on_hilb(surface, v, v, k, same_object=True)
+        ext_h = ext_dims_on_hilb(ext_x, k)
     else:
         mod_dim = ext_x = ext_h = None
         notes.append(NOTE_EMPTY_MODULI)

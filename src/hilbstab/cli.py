@@ -28,7 +28,7 @@ from .certificate import (
     certificate_csv_row,
     certificate_to_dict,
 )
-from .lattice import K3Surface, MukaiVector
+from .lattice import K3Surface, MukaiVector, require_positive_rank
 from .pfunctor import NegativeExt, ext_dims_on_hilb, ext_dims_on_X
 # enumerate_hits is unused here but stays importable: perfbench/traced.py
 # wraps it by name.
@@ -69,8 +69,8 @@ def _json_list(values):
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _emit(args: argparse.Namespace, chunks) -> None:
-    """Write the text chunks to stdout, or to a file that replaces args.out.
+def _emit(out: str | None, chunks) -> None:
+    """Write the text chunks to stdout, or to a file that replaces out.
 
     The chunks may be produced lazily, so output streams as it is made.
     A regular (or new) file is written beside its resolved path and moved
@@ -79,15 +79,15 @@ def _emit(args: argparse.Namespace, chunks) -> None:
     keeps its mode.  Anything else (a device, a FIFO), or a target whose
     directory takes no new file, is written in place.
     """
-    if args.out is None:
+    if out is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
         sys.stdout.writelines(chunks)
         return
-    real = os.path.realpath(args.out)
+    real = os.path.realpath(out)
     tmp = _temp_beside(real) if not os.path.exists(real) or os.path.isfile(real) else None
     if tmp is None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
     try:
@@ -131,7 +131,7 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
         chunks = [_render_csv([CSV_COLUMNS, certificate_csv_row(cert)])]
     else:
         chunks = [_render_json(certificate_to_dict(cert, include_notes=args.notes)), "\n"]
-    _emit(args, chunks)
+    _emit(args.out, chunks)
     if args.strict and not cert.report.admissible:
         return 1
     return 0
@@ -142,14 +142,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
     query = SearchQuery(_parse_range(args.h2), _parse_range(args.k))
     hits = iter_hits(query, workers=args.workers)
-    certs = (h.certificate for h in islice(hits, args.limit))
+    certs = islice(hits, args.limit)
     if args.csv:
         rows = chain([CSV_COLUMNS], map(certificate_csv_row, certs))
         chunks = (_render_csv([row]) for row in rows)
     else:
         chunks = _json_list(certificate_to_dict(c, include_notes=True) for c in certs)
     try:
-        _emit(args, chunks)
+        _emit(args.out, chunks)
     finally:
         hits.close()
     return 0
@@ -157,11 +157,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_ext(args: argparse.Namespace) -> int:
     surface, v = _candidate(args)
-    if v.r < 1:
-        raise ValueError(f"rank must be positive, got r={v.r}")
-    same = not args.distinct
-    on_x = ext_dims_on_X(surface, v, v, same_object=same)
-    on_hilb = ext_dims_on_hilb(surface, v, v, args.k, same_object=same)
+    require_positive_rank(v)
+    on_x = ext_dims_on_X(surface, v, v, same_object=not args.distinct)
+    on_hilb = ext_dims_on_hilb(on_x, args.k)
     # Render over the full degree range of each space: 0..2 on the surface,
     # 0..2k on the Hilbert scheme (canonical GradedDims strips trailing zeros).
     x_cells = [str(on_x[i]) for i in range(3)]
@@ -183,7 +181,7 @@ def _cmd_ext(args: argparse.Namespace) -> int:
             "ext_on_hilb": hilb_cells,
         }
         chunks = [_render_json(payload), "\n"]
-    _emit(args, chunks)
+    _emit(args.out, chunks)
     return 0
 
 
@@ -202,8 +200,19 @@ def _add_candidate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("s", type=int, help="degree-4 component")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes --help through _emit, so a closed or full stdout exits 2 as for
+    every command, where argparse falls back to stderr or drops the error."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(None, [self.format_help()])
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbstab",
         description=(
             "Exact admissibility certificates and searches for Mukai vectors "

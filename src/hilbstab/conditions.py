@@ -27,6 +27,8 @@ from .lattice import (
     euler_pair,
     ideal_sheaf_vector,
     mukai_square,
+    require_positive_k,
+    require_positive_rank,
     twisted_chi,
 )
 
@@ -74,16 +76,6 @@ class AdmissibilityReport(Value):
         )
 
 
-def _require_positive_rank(v: MukaiVector) -> None:
-    if v.r < 1:
-        raise ValueError(f"rank must be positive, got r={v.r}")
-
-
-def _require_positive_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-
-
 def check_inequality(
     surface: K3Surface, v: MukaiVector, k: int
 ) -> tuple[bool, int]:
@@ -92,8 +84,8 @@ def check_inequality(
     Returns (verdict, margin) with margin = chi - threshold; the division
     by 2 is exact because v^2 is even.
     """
-    _require_positive_rank(v)
-    _require_positive_k(k)
+    require_positive_rank(v)
+    require_positive_k(k)
     chi = euler_char(v)
     threshold = mukai_square(surface, v) // 2 + (v.r + 1) * k + 1
     margin = chi - threshold
@@ -102,7 +94,7 @@ def check_inequality(
 
 def check_local_freeness(surface: K3Surface, v: MukaiVector) -> bool:
     """True iff v^2 + 2 < 2r, so every sheaf in M_{X,h}(v) is locally free."""
-    _require_positive_rank(v)
+    require_positive_rank(v)
     return mukai_square(surface, v) + 2 < 2 * v.r
 
 
@@ -112,14 +104,14 @@ def check_fineness(surface: K3Surface, v: MukaiVector) -> tuple[bool, int]:
     This is the standard sufficient criterion; it is implied by the shortcut
     gcd(r, s) = 1 since gcd(r, s) = gcd(r, r+s).
     """
-    _require_positive_rank(v)
+    require_positive_rank(v)
     g = gcd(v.r, v.m * surface.h_squared, euler_char(v))
     return g == 1, g
 
 
 def check_nonempty(surface: K3Surface, v: MukaiVector) -> bool:
     """Nonemptiness of M_{X,h}(v) for primitive v of positive rank: v^2 >= -2."""
-    _require_positive_rank(v)
+    require_positive_rank(v)
     if v.m != 1:
         raise ValueError(
             f"nonemptiness criterion is stated only for m = 1, got m={v.m}"
@@ -136,8 +128,8 @@ def admissibility_report(
     candidates still get a full report; primitivity itself is the separate
     primitive_ok flag, and admissibility requires all five verdicts.
     """
-    _require_positive_rank(v)
-    _require_positive_k(k)
+    require_positive_rank(v)
+    require_positive_k(k)
     chi = euler_char(v)
     v_sq = mukai_square(surface, v)
     ineq_ok, margin = check_inequality(surface, v, k)
@@ -163,7 +155,7 @@ def extension_euler_formula(surface: K3Surface, v: MukaiVector, k: int) -> int:
     G extends the ideal sheaf of k points by the dual of a bundle with
     vector v, and chi(G, G) = 2*(-v^2/2 + chi - (r+1)k + 1).
     """
-    _require_positive_k(k)
+    require_positive_k(k)
     v_sq = mukai_square(surface, v)
     return 2 * (-(v_sq // 2) + euler_char(v) - (v.r + 1) * k + 1)
 
@@ -174,7 +166,7 @@ def extension_euler_direct(surface: K3Surface, v: MukaiVector, k: int) -> int:
     Must agree with extension_euler_formula on every input; the test suite
     checks the identity on an exhaustive grid.
     """
-    _require_positive_k(k)
+    require_positive_k(k)
     v_g = dual_vector(v) + ideal_sheaf_vector(k)
     return euler_pair(surface, v_g, v_g)
 
@@ -190,8 +182,8 @@ def vanishing_certificate(
     Raises HypothesisNotMet when the inequality fails or m != 1, and
     InconsistentCertificate when the section count would be negative.
     """
-    _require_positive_rank(v)
-    _require_positive_k(k)
+    require_positive_rank(v)
+    require_positive_k(k)
     if v.m != 1:
         raise HypothesisNotMet(f"vanishing certificate requires m = 1, got m={v.m}")
     ok, margin = check_inequality(surface, v, k)

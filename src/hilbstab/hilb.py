@@ -13,6 +13,7 @@ from enum import Enum
 from math import factorial
 
 from .lattice import K3Surface, MukaiVector, Value, euler_char
+from .lattice import require_positive_k, require_positive_rank
 
 
 class NegativeRank(ValueError):
@@ -57,11 +58,6 @@ class DestabilizerCase(Enum):
     POSITIVE_SLOPE_IMPOSSIBLE = "positive-slope-impossible"
 
 
-def _require_positive_rank(v: MukaiVector) -> None:
-    if v.r < 1:
-        raise ValueError(f"rank must be positive, got r={v.r}")
-
-
 def _require_rank_two_ns(k: int) -> None:
     if k < 2:
         raise ValueError(
@@ -71,9 +67,8 @@ def _require_rank_two_ns(k: int) -> None:
 
 def image_rank(v: MukaiVector, k: int) -> int:
     """Rank r + s - rk of the image bundle on X^[k] (fiberwise the sections of E tensor I_Z)."""
-    _require_positive_rank(v)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_positive_rank(v)
+    require_positive_k(k)
     rank = euler_char(v) - v.r * k
     if rank < 0:
         raise NegativeRank(f"image rank r+s-rk = {rank} is negative")
@@ -82,14 +77,14 @@ def image_rank(v: MukaiVector, k: int) -> int:
 
 def image_c1(v: MukaiVector, k: int) -> HilbNSClass:
     """c1 of the image bundle: -c1(E)_k + r*delta, i.e. (-m, r) in the basis."""
-    _require_positive_rank(v)
+    require_positive_rank(v)
     _require_rank_two_ns(k)
     return HilbNSClass(-v.m, v.r)
 
 
 def taut_rank(v: MukaiVector, k: int) -> int:
     """Rank r*k of the tautological bundle E^[k]."""
-    _require_positive_rank(v)
+    require_positive_rank(v)
     _require_rank_two_ns(k)
     return v.r * k
 
@@ -100,7 +95,7 @@ def taut_c1(v: MukaiVector, k: int) -> HilbNSClass:
     The image bundle, the trivial bundle of global sections and E^[k] sit
     in a short exact sequence, so ranks and first Chern classes are additive.
     """
-    _require_positive_rank(v)
+    require_positive_rank(v)
     _require_rank_two_ns(k)
     return HilbNSClass(v.m, -v.r)
 
@@ -119,8 +114,7 @@ def product_selfintersection(surface: K3Surface, k: int) -> int:
     Multinomial expansion leaves only the terms with exponent exactly 2 on
     each factor, giving (2k)!/2^k * (h^2)^k; the quotient is exact.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_positive_k(k)
     return factorial(2 * k) // 2**k * surface.h_squared**k
 
 

@@ -85,6 +85,18 @@ class MukaiVector(Value):
         return MukaiVector(-self.r, -self.m, -self.s)
 
 
+def require_positive_rank(v: MukaiVector) -> None:
+    """Raise ValueError unless v has rank r >= 1, as a sheaf behind it needs."""
+    if v.r < 1:
+        raise ValueError(f"rank must be positive, got r={v.r}")
+
+
+def require_positive_k(k: int) -> None:
+    """Raise ValueError unless k >= 1 counts points of a Hilbert scheme."""
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+
+
 def mukai_pairing(surface: K3Surface, v: MukaiVector, w: MukaiVector) -> int:
     """Mukai pairing <v, w> = m_v*m_w*h^2 - r_v*s_w - r_w*s_v.
 
@@ -110,8 +122,7 @@ def euler_char(v: MukaiVector) -> int:
 
 def twisted_chi(v: MukaiVector, k: int) -> int:
     """chi of the twist by the ideal sheaf of k points: r + s - r*k."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_positive_k(k)
     return v.r + v.s - v.r * k
 
 
@@ -126,8 +137,7 @@ def ideal_sheaf_vector(k: int) -> MukaiVector:
     Pinned by the two identities <v(I_Z), v(I_Z)> = 2k - 2 and
     chi(I_Z) = 2 - k, which the tests verify.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_positive_k(k)
     return MukaiVector(1, 0, 1 - k)
 
 

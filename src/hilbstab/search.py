@@ -21,10 +21,11 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import chain, islice
+from math import isqrt
 
 from .certificate import Certificate, build_certificate
 from .conditions import admissibility_report
-from .lattice import K3Surface, MukaiVector, Value
+from .lattice import K3Surface, MukaiVector, Value, require_positive_k
 
 
 # Cells in flight per pool process: enough to keep every process busy while
@@ -75,16 +76,6 @@ class SearchQuery(Value):
         object.__setattr__(self, "r_max", r_max)
 
 
-class SearchHit(Value):
-    """One admissible vector with its full certificate (report included)."""
-
-    def __init__(self, h_squared: int, k: int, v: MukaiVector, certificate: Certificate) -> None:
-        object.__setattr__(self, "h_squared", h_squared)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "certificate", certificate)
-
-
 def search_bounds(
     surface: K3Surface, k: int
 ) -> tuple[int, Callable[[int], tuple[int, int]]]:
@@ -93,20 +84,19 @@ def search_bounds(
     Returns (r_max, s_range) with s_range(r) = (r(k-1) + k,
     floor((h^2+2)/(2r))).  The interval may be empty (lo > hi) for r
     beyond r_max; r_max may be 0 when no rank admits a nonempty interval.
+
+    For k >= 2, r_max is the floor of the positive root of (k-1)r^2 + kr -
+    (h^2+2)/2; taking isqrt of the discriminant first keeps that floor exact.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_positive_k(k)
     half = (surface.h_squared + 2) // 2
 
     def s_range(r: int) -> tuple[int, int]:
         return r * (k - 1) + k, half // r
 
-    r_max = 0
-    r = 1
-    while r * (r * (k - 1) + k) <= half:
-        r_max = r
-        r += 1
-    return r_max, s_range
+    if k == 1:
+        return half, s_range
+    return (isqrt(k * k + 4 * (k - 1) * half) - k) // (2 * (k - 1)), s_range
 
 
 def _scan_cell(args: tuple[int, int, int | None]) -> list[tuple[int, int]]:
@@ -173,7 +163,7 @@ def _scan_in_pool(
         pool.shutdown(cancel_futures=True)
 
 
-def _stream_hits(query: SearchQuery, processes: int) -> Iterator[SearchHit]:
+def _stream_hits(query: SearchQuery, processes: int) -> Iterator[Certificate]:
     cells = _cells(query)
     head = list(islice(cells, 2))
     if processes == 1 or len(head) < 2:
@@ -184,15 +174,14 @@ def _stream_hits(query: SearchQuery, processes: int) -> Iterator[SearchHit]:
         for (h2, k, _), pairs in scanned:
             surface = K3Surface(h2)
             for r, s in pairs:
-                v = MukaiVector(r, 1, s)
-                cert = build_certificate(surface, v, k)
-                yield SearchHit(h2, k, v, cert)
+                yield build_certificate(surface, MukaiVector(r, 1, s), k)
     finally:
         scanned.close()
 
 
-def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[SearchHit]:
-    """All admissible vectors in the query box, lazily, ordered by (h^2, k, r, s).
+def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
+    """The certificate of every admissible vector in the query box, lazily,
+    ordered by (h^2, k, r, s).
 
     Cells are visited in (h^2, k) order and each yields its pairs in (r, s)
     order, so hits stream out already sorted, identically for any worker
@@ -205,6 +194,7 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[SearchHit]:
     return _stream_hits(query, _pool_size(workers))
 
 
-def enumerate_hits(query: SearchQuery, workers: int = 1) -> list[SearchHit]:
-    """All admissible vectors in the query box as a list; see iter_hits."""
+def enumerate_hits(query: SearchQuery, workers: int = 1) -> list[Certificate]:
+    """The certificates of all admissible vectors in the query box as a list;
+    see iter_hits."""
     return list(iter_hits(query, workers))

@@ -6,11 +6,11 @@ caps are asserted on wall-clock time.
 """
 
 import json
-from math import gcd
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from brute_force import raw_scan
 
 from hilbstab.certificate import build_certificate
 from hilbstab.cli import main
@@ -31,27 +31,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _raw_scan(h_squared: int, k: int) -> list[tuple[int, int, int]]:
-    """Independent brute-force oracle: raw predicates, no derived bounds."""
-    hits = []
-    bound = h_squared + 2
-    for r in range(1, h_squared + 1):
-        two_r = 2 * r
-        ineq_rhs = 2 * ((r + 1) * k + 1)
-        for s in range(-bound, bound + 1):
-            v2 = h_squared - two_r * s
-            if v2 < -2:
-                continue
-            if 2 * (r + s) < v2 + ineq_rhs:
-                continue
-            if v2 + 2 >= two_r:
-                continue
-            if gcd(r, h_squared, r + s) != 1:
-                continue
-            hits.append((r, 1, s))
-    return hits
-
-
 @pytest.fixture(scope="module")
 def full_grid():
     """Search grid for the oracle-equivalence and property criteria."""
@@ -60,10 +39,10 @@ def full_grid():
     by_cell: dict[tuple[int, int], list[tuple[int, int, int]]] = {
         (h2, k): [] for h2 in range(2, 201, 2) for k in (2, 3, 4)
     }
-    for h in hits:
-        by_cell[(h.h_squared, h.k)].append((h.v.r, h.v.m, h.v.s))
+    for c in hits:
+        by_cell[(c.surface.h_squared, c.k)].append((c.v.r, c.v.m, c.v.s))
     oracle = {
-        (h2, k): _raw_scan(h2, k)
+        (h2, k): raw_scan(h2, k)
         for h2 in range(2, 201, 2)
         for k in (2, 3, 4)
     }
@@ -170,9 +149,9 @@ def test_criterion_4_extension_euler_grid():
 def test_criterion_5_extension_euler_at_least_4_on_hits(full_grid):
     hits = full_grid["hits"]
     bad = [
-        (h.h_squared, h.k, h.v.r, h.v.s)
-        for h in hits
-        if extension_euler_formula(K3Surface(h.h_squared), h.v, h.k) < 4
+        (c.surface.h_squared, c.k, c.v.r, c.v.s)
+        for c in hits
+        if extension_euler_formula(c.surface, c.v, c.k) < 4
     ]
     ok = not bad and len(hits) > 0
     _report(
@@ -209,17 +188,16 @@ def test_criterion_7_ext_and_tangent_bookkeeping(full_grid):
     v = MukaiVector(3, 1, 8)
     ok = (
         ext_dims_on_X(S, v, v, True).dims == (1, 4, 1)
-        and ext_dims_on_hilb(S, v, v, 2, True).dims == (1, 4, 2, 4, 1)
-        and ext_dims_on_hilb(S, v, v, 2, False)[0] == 0
+        and ext_dims_on_hilb(ext_dims_on_X(S, v, v, True), 2).dims == (1, 4, 2, 4, 1)
+        and ext_dims_on_hilb(ext_dims_on_X(S, v, v, False), 2)[0] == 0
     )
     checked = 0
-    for h in full_grid["hits"]:
-        hs = K3Surface(h.h_squared)
-        on_x = ext_dims_on_X(hs, h.v, h.v, True)
-        on_hilb = ext_dims_on_hilb(hs, h.v, h.v, h.k, True)
-        if on_hilb.total != h.k * on_x.total or on_hilb.euler != h.k * on_x.euler:
+    for c in full_grid["hits"]:
+        on_x = ext_dims_on_X(c.surface, c.v, c.v, True)
+        on_hilb = ext_dims_on_hilb(on_x, c.k)
+        if on_hilb.total != c.k * on_x.total or on_hilb.euler != c.k * on_x.euler:
             ok = False
-        if not tangent_match(hs, h.v, h.k).match:
+        if not tangent_match(c.surface, c.v, c.k).match:
             ok = False
         checked += 1
     # sweep beyond the hit set: every nonempty-moduli candidate must match

@@ -452,6 +452,9 @@ CLOSED_STREAM_CASES = [
         "2>/dev/full", ["check", "50", "2", "3", "1", "8", "--out", "/nonexistent/dir/out"], 2,
         id="bad-out-full-stderr", marks=NO_DEV_FULL,
     ),
+    pytest.param(">&-", ["--help"], 2, id="help-no-stdout"),
+    pytest.param(">&-", ["check", "--help"], 2, id="subcommand-help-no-stdout"),
+    pytest.param(">/dev/full", ["--help"], 2, id="help-full-stdout", marks=NO_DEV_FULL),
 ]
 
 

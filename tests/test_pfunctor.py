@@ -17,6 +17,8 @@ from hilbstab.pfunctor import (
 surfaces = st.integers(1, 60).map(lambda n: K3Surface(2 * n))
 graded = st.lists(st.integers(0, 9), max_size=6).map(lambda d: GradedDims(tuple(d)))
 ks = st.integers(1, 5)
+# tables on a surface, degrees 0..2; zeros give stripped and empty tables
+tables_on_X = st.lists(st.integers(0, 10**6), max_size=3).map(lambda d: GradedDims(tuple(d)))
 
 
 # -------------------------------------------------------------- GradedDims
@@ -129,11 +131,27 @@ def test_ext_on_X_negative_ext_raises():
 def test_ext_on_hilb_examples():
     S = K3Surface(50)
     v = MukaiVector(3, 1, 8)
-    assert ext_dims_on_hilb(S, v, v, 2, True) == GradedDims((1, 4, 2, 4, 1))
-    assert ext_dims_on_hilb(S, v, v, 1, True) == ext_dims_on_X(S, v, v, True)
-    distinct = ext_dims_on_hilb(S, v, v, 2, False)
+    on_x = ext_dims_on_X(S, v, v, True)
+    assert ext_dims_on_hilb(on_x, 2) == GradedDims((1, 4, 2, 4, 1))
+    assert ext_dims_on_hilb(on_x, 1) == on_x
+    distinct = ext_dims_on_hilb(ext_dims_on_X(S, v, v, False), 2)
     assert distinct == GradedDims((0, 2, 0, 2, 0))
     assert distinct[0] == 0
+    # an empty table stays empty at large k, stripped in linear time
+    assert ext_dims_on_hilb(GradedDims(()), 10**6) == GradedDims(())
+
+
+@given(tables_on_X, st.integers(1, 40))
+def test_ext_on_hilb_closed_form_equals_convolution(table, k):
+    expected = graded_tensor(table, projective_space_cohomology(k - 1))
+    assert ext_dims_on_hilb(table, k) == expected
+
+
+def test_ext_on_hilb_rejects_bad_input():
+    with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+        ext_dims_on_hilb(GradedDims((1, 4, 1)), 0)
+    with pytest.raises(ValueError):
+        ext_dims_on_hilb(GradedDims((1, 0, 0, 1)), 2)
 
 
 @given(surfaces, st.builds(MukaiVector, st.integers(1, 15), st.just(1), st.integers(-20, 20)), ks)
@@ -142,7 +160,7 @@ def test_ext_multiplicativity(S, v, k):
         on_x = ext_dims_on_X(S, v, v, True)
     except NegativeExt:
         return
-    on_hilb = ext_dims_on_hilb(S, v, v, k, True)
+    on_hilb = ext_dims_on_hilb(on_x, k)
     assert on_hilb.total == k * on_x.total
     assert on_hilb.euler == k * on_x.euler
 

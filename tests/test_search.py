@@ -2,10 +2,11 @@ import os
 import re
 import subprocess
 import sys
-from math import gcd
 from pathlib import Path
+from time import perf_counter
 
 import pytest
+from brute_force import raw_scan
 
 from hilbstab.conditions import (
     check_fineness,
@@ -27,32 +28,6 @@ from hilbstab.search import (
     iter_hits,
     search_bounds,
 )
-
-
-def brute_force_hits(h_squared: int, k: int) -> list[tuple[int, int, int]]:
-    """Raw scan with the predicates written out as plain integer arithmetic.
-
-    Intentionally independent of search_bounds and of the library's check
-    functions; rank runs to h^2 and s over [-(h^2+2), h^2+2], far beyond
-    where hits can live.
-    """
-    hits = []
-    bound = h_squared + 2
-    for r in range(1, h_squared + 1):
-        two_r = 2 * r
-        ineq_rhs = 2 * ((r + 1) * k + 1)
-        for s in range(-bound, bound + 1):
-            v2 = h_squared - two_r * s
-            if v2 < -2:
-                continue
-            if 2 * (r + s) < v2 + ineq_rhs:
-                continue
-            if v2 + 2 >= two_r:
-                continue
-            if gcd(r, h_squared, r + s) != 1:
-                continue
-            hits.append((r, 1, s))
-    return hits
 
 
 # ----------------------------------------------------------------- bounds
@@ -77,17 +52,44 @@ def test_bounds_can_be_empty():
     # so no rank admits a nonempty interval; the raw scan agrees below
     r_max, _ = search_bounds(K3Surface(2), 2)
     assert r_max == 0
-    assert brute_force_hits(2, 2) == []
+    assert raw_scan(2, 2) == []
 
 
 @pytest.mark.parametrize("h_squared", range(2, 62, 2))
 @pytest.mark.parametrize("k", [2, 3])
 def test_bounds_complete_against_raw_scan(h_squared, k):
     r_max, s_range = search_bounds(K3Surface(h_squared), k)
-    for r, _, s in brute_force_hits(h_squared, k):
+    for r, _, s in raw_scan(h_squared, k):
         assert 1 <= r <= r_max
         lo, hi = s_range(r)
         assert lo <= s <= hi
+
+
+def _loop_r_max(h_squared: int, k: int) -> int:
+    """The rank ceiling by its definition: the largest r >= 0 with
+    r(r(k-1) + k) <= (h^2+2)/2, found by counting r up."""
+    half = (h_squared + 2) // 2
+    r = 0
+    while (r + 1) * ((r + 1) * (k - 1) + k) <= half:
+        r += 1
+    return r
+
+
+def test_rank_ceiling_matches_its_definition():
+    for h_squared in range(2, 2001, 2):
+        for k in range(1, 9):
+            r_max, _ = search_bounds(K3Surface(h_squared), k)
+            assert r_max == _loop_r_max(h_squared, k), (h_squared, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_rank_ceiling_of_huge_h2_returns_at_once(k):
+    # counting ranks up one by one would take r_max >= 10^14 steps here
+    half = 10**30 + 1
+    t0 = perf_counter()
+    r, _ = search_bounds(K3Surface(2 * 10**30), k)
+    assert perf_counter() - t0 < 1.0
+    assert r * (r * (k - 1) + k) <= half < (r + 1) * ((r + 1) * (k - 1) + k)
 
 
 # ------------------------------------------------------------ enumeration
@@ -95,35 +97,35 @@ def test_bounds_complete_against_raw_scan(h_squared, k):
 
 def test_enumerate_hit_set_50_2():
     hits = enumerate_hits(SearchQuery(50, 2))
-    assert [(h.v.r, h.v.m, h.v.s) for h in hits] == [(1, 1, 26), (2, 1, 13), (3, 1, 8)]
-    assert all(h.certificate.report.admissible for h in hits)
+    assert [(c.v.r, c.v.m, c.v.s) for c in hits] == [(1, 1, 26), (2, 1, 13), (3, 1, 8)]
+    assert all(c.report.admissible for c in hits)
 
 
 def test_enumerate_contains_worked_example_b():
     hits = enumerate_hits(SearchQuery(186, 3))
-    assert (5, 1, 18) in [(h.v.r, h.v.m, h.v.s) for h in hits]
+    assert (5, 1, 18) in [(c.v.r, c.v.m, c.v.s) for c in hits]
 
 
 def test_enumerate_matches_raw_scan_small_grid():
     for h_squared in range(2, 42, 2):
         for k in (2, 3):
             hits = enumerate_hits(SearchQuery(h_squared, k))
-            got = [(h.v.r, h.v.m, h.v.s) for h in hits]
-            assert got == brute_force_hits(h_squared, k), (h_squared, k)
+            got = [(c.v.r, c.v.m, c.v.s) for c in hits]
+            assert got == raw_scan(h_squared, k), (h_squared, k)
 
 
 def test_enumerate_ordering_over_ranges():
     hits = enumerate_hits(SearchQuery((2, 60), (2, 3)))
-    keys = [(h.h_squared, h.k, h.v.r, h.v.s) for h in hits]
+    keys = [(c.surface.h_squared, c.k, c.v.r, c.v.s) for c in hits]
     assert keys == sorted(keys)
 
 
 def test_enumerate_r_max_override_is_an_audit_knob():
     base = enumerate_hits(SearchQuery(50, 2))
     widened = enumerate_hits(SearchQuery(50, 2, r_max=20))
-    assert [(h.v.r, h.v.s) for h in widened] == [(h.v.r, h.v.s) for h in base]
+    assert [(c.v.r, c.v.s) for c in widened] == [(c.v.r, c.v.s) for c in base]
     restricted = enumerate_hits(SearchQuery(50, 2, r_max=1))
-    assert [(h.v.r, h.v.s) for h in restricted] == [(1, 26)]
+    assert [(c.v.r, c.v.s) for c in restricted] == [(1, 26)]
 
 
 def test_invalid_queries():
@@ -183,7 +185,7 @@ def test_cells_skip_only_cells_without_hits():
     for h2 in range(2, 41, 2):
         for k in range(1, 13):
             if (h2, k) not in kept:
-                assert brute_force_hits(h2, k) == [], (h2, k)
+                assert raw_scan(h2, k) == [], (h2, k)
     assert list(_cells(SearchQuery(2, (100, 10**4)))) == []
     assert next(_cells(SearchQuery((2, 10**4), (100, 200)))) == (396, 100, None)
 
@@ -201,7 +203,7 @@ def test_iter_hits_scans_cells_on_demand(monkeypatch):
     assert scanned == []
     first = next(hits)
     hits.close()
-    assert (first.h_squared, first.k, first.v.r, first.v.s) == (4, 2, 1, 3)
+    assert (first.surface.h_squared, first.k, first.v.r, first.v.s) == (4, 2, 1, 3)
     assert scanned == [(4, 2)]
 
 
@@ -211,21 +213,20 @@ def test_iter_hits_scans_cells_on_demand(monkeypatch):
 def test_hits_satisfy_cross_module_invariants():
     hits = enumerate_hits(SearchQuery((2, 80), (2, 4)))
     assert hits, "expected at least one hit in the audit grid"
-    for h in hits:
-        S = K3Surface(h.h_squared)
-        cert = h.certificate
+    for cert in hits:
+        S, v, k = cert.surface, cert.v, cert.k
         # rank additivity and positive image rank
         assert cert.image_rank is not None and cert.image_rank >= 1
-        assert cert.image_rank + cert.taut_rank == euler_char(h.v)
+        assert cert.image_rank + cert.taut_rank == euler_char(v)
         assert cert.image_c1 + cert.taut_c1 == HilbNSClass(0, 0)
-        assert cert.image_c1.b == h.v.r
+        assert cert.image_c1.b == v.r
         # extension Euler pairing: both routes agree and are >= 4
         assert cert.extension_euler_formula == cert.extension_euler_direct
-        assert cert.extension_euler_formula == extension_euler_formula(S, h.v, h.k)
+        assert cert.extension_euler_formula == extension_euler_formula(S, v, k)
         assert cert.extension_euler_formula >= 4
         # tangent dimensions transport to the Hilbert scheme
-        assert tangent_match(S, h.v, h.k).match is True
-        assert cert.moduli_dim == mukai_square(S, h.v) + 2
+        assert tangent_match(S, v, k).match is True
+        assert cert.moduli_dim == mukai_square(S, v) + 2
 
 
 def test_report_flags_independent_of_each_other():
@@ -253,8 +254,8 @@ def test_report_flags_independent_of_each_other():
                     if flags[0] and flags[1] and flags[3]:
                         all_but_local_freeness.add((r, s))
             got = {
-                (h.v.r, h.v.s)
-                for h in enumerate_hits(SearchQuery(h_squared, k))
+                (c.v.r, c.v.s)
+                for c in enumerate_hits(SearchQuery(h_squared, k))
             }
             assert got == admissible
             assert admissible <= all_but_local_freeness

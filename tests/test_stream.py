@@ -41,10 +41,10 @@ def whole_list(h2: tuple[int, int], k: tuple[int, int], csv: bool, limit) -> str
         buf = io.StringIO()
         writer = csv_module.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(certificate_csv_row(h.certificate) for h in hits)
+        writer.writerows(certificate_csv_row(c) for c in hits)
         return buf.getvalue()
     return json.dumps(
-        [certificate_to_dict(h.certificate, include_notes=True) for h in hits], indent=2
+        [certificate_to_dict(c, include_notes=True) for c in hits], indent=2
     ) + "\n"
 
 
@@ -91,5 +91,5 @@ def test_streamed_search_equals_whole_list_rendering(
 
 def test_mid_cell_example_cuts_inside_a_cell():
     # the explicit limit=4 examples above stop between two hits of one cell
-    keys = [(h.h_squared, h.k) for h in enumerate_hits(SearchQuery((48, 52), (2, 3)))]
+    keys = [(c.surface.h_squared, c.k) for c in enumerate_hits(SearchQuery((48, 52), (2, 3)))]
     assert keys[3] == keys[4]

@@ -21,7 +21,6 @@ from hilbstab import (
     K3Surface,
     MukaiVector,
     ProductClass,
-    SearchHit,
     SearchQuery,
     TangentMatch,
     admissibility_report,
@@ -65,12 +64,6 @@ CASES = [
     (GradedDims, ("dims",), ((1, 4, 1),), ((0, 4),)),
     (Certificate, CERT_FIELDS, _values(CERT, CERT_FIELDS), _values(OTHER_CERT, CERT_FIELDS)),
     (SearchQuery, ("h_squared", "k", "r_max"), ((2, 10), (2, 3), None), (50, 2, 7)),
-    (
-        SearchHit,
-        ("h_squared", "k", "v", "certificate"),
-        (50, 2, V, CERT),
-        (186, 3, OTHER_CERT.v, OTHER_CERT),
-    ),
 ]
 IDS = [c[0].__name__ for c in CASES]
 
@@ -205,7 +198,7 @@ def test_search_query_rejects_bad_ranges(args):
         (MukaiVector, (3, 1, 8), {"r": 3}),
         (HilbNSClass, (1,), {"c": 2}),
         (ProductClass, (), {}),
-        (SearchHit, (50, 2, V), {}),
+        (Certificate, (S, 2, V), {}),
         (SearchQuery, (50,), {}),
     ],
 )
