@@ -87,10 +87,10 @@ def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate
         img_c1 = t_rank = t_c1 = prod_a = None
         notes.append(NOTE_RANK_TWO_BASIS)
 
-    if report.v_sq >= -2:
-        mod_dim = report.v_sq + 2
+    if report.nonempty_ok:
         ext_x = ext_dims_on_X(surface, v, v, same_object=True)
         ext_h = ext_dims_on_hilb(ext_x, k)
+        mod_dim = ext_x[1]
     else:
         mod_dim = ext_x = ext_h = None
         notes.append(NOTE_EMPTY_MODULI)

@@ -28,7 +28,7 @@ from .certificate import (
     certificate_csv_row,
     certificate_to_dict,
 )
-from .lattice import K3Surface, MukaiVector, require_positive_rank
+from .lattice import K3Surface, MukaiVector
 from .pfunctor import NegativeExt, ext_dims_on_hilb, ext_dims_on_X
 # enumerate_hits is unused here but stays importable: perfbench/traced.py
 # wraps it by name.
@@ -157,7 +157,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_ext(args: argparse.Namespace) -> int:
     surface, v = _candidate(args)
-    require_positive_rank(v)
     on_x = ext_dims_on_X(surface, v, v, same_object=not args.distinct)
     on_hilb = ext_dims_on_hilb(on_x, args.k)
     # Render over the full degree range of each space: 0..2 on the surface,
@@ -300,4 +299,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # h^2 is unbounded: no digit cap
+        sys.set_int_max_str_digits(0)
     sys.exit(main())

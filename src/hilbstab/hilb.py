@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from math import factorial
 
-from .lattice import K3Surface, MukaiVector, Value, euler_char
+from .lattice import K3Surface, MukaiVector, Value, twisted_chi
 from .lattice import require_positive_k, require_positive_rank
 
 
@@ -68,8 +68,7 @@ def _require_rank_two_ns(k: int) -> None:
 def image_rank(v: MukaiVector, k: int) -> int:
     """Rank r + s - rk of the image bundle on X^[k] (fiberwise the sections of E tensor I_Z)."""
     require_positive_rank(v)
-    require_positive_k(k)
-    rank = euler_char(v) - v.r * k
+    rank = twisted_chi(v, k)
     if rank < 0:
         raise NegativeRank(f"image rank r+s-rk = {rank} is negative")
     return rank
@@ -95,9 +94,7 @@ def taut_c1(v: MukaiVector, k: int) -> HilbNSClass:
     The image bundle, the trivial bundle of global sections and E^[k] sit
     in a short exact sequence, so ranks and first Chern classes are additive.
     """
-    require_positive_rank(v)
-    _require_rank_two_ns(k)
-    return HilbNSClass(v.m, -v.r)
+    return -image_c1(v, k)
 
 
 def product_c1(v: MukaiVector, k: int) -> ProductClass:

@@ -123,7 +123,7 @@ def euler_char(v: MukaiVector) -> int:
 def twisted_chi(v: MukaiVector, k: int) -> int:
     """chi of the twist by the ideal sheaf of k points: r + s - r*k."""
     require_positive_k(k)
-    return v.r + v.s - v.r * k
+    return euler_char(v) - v.r * k
 
 
 def dual_vector(v: MukaiVector) -> MukaiVector:
@@ -145,6 +145,5 @@ def slope_on_X(surface: K3Surface, v: MukaiVector) -> Fraction:
     """Slope with respect to h on the surface itself: (c1.h)/r = m*h^2/r."""
     from fractions import Fraction  # not at top level: no CLI path needs it
 
-    if v.r < 1:
-        raise ValueError(f"slope is defined only for positive rank, got r={v.r}")
+    require_positive_rank(v)
     return Fraction(v.m * surface.h_squared, v.r)

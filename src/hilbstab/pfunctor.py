@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .lattice import K3Surface, MukaiVector, Value, mukai_pairing, mukai_square
-from .lattice import require_positive_k
+from .lattice import require_positive_k, require_positive_rank
 
 
 class NegativeExt(ValueError):
@@ -96,10 +96,12 @@ def ext_dims_on_X(
 ) -> GradedDims:
     """Ext table between stable sheaves of equal slope with vectors v and w.
 
-    The caller asserts stability and slope equality; same_object=True
-    additionally requires v = w, while same_object=False means two
+    The caller asserts stability and slope equality; both ranks must be
+    positive, and same_object=True requires v = w, while False means two
     non-isomorphic sheaves (which may share the same Mukai vector).
     """
+    require_positive_rank(v)
+    require_positive_rank(w)
     if same_object:
         if v != w:
             raise ValueError("same_object=True requires identical Mukai vectors")
@@ -128,18 +130,18 @@ def ext_dims_on_hilb(ext_on_X: GradedDims, k: int) -> GradedDims:
         raise ValueError(f"a table on X lives in degrees 0..2, got {ext_on_X.dims}")
     t0, t1, t2 = ext_on_X[0], ext_on_X[1], ext_on_X[2]
     # one list, not tuple concatenation: ~15 MB less peak RSS at k = 10^6
-    dims = [t0 + t2, t1] * k
+    try:
+        dims = [t0 + t2, t1] * k
+    except (OverflowError, MemoryError):  # refused outright, before any allocation
+        raise ValueError(f"k = {k} is too large for an Ext table of 2k + 1 degrees") from None
     dims[0] = t0
     dims.append(t2)
     return GradedDims(dims)
 
 
 def moduli_dim(surface: K3Surface, v: MukaiVector) -> int:
-    """Dimension v^2 + 2 of the moduli space of stable sheaves with vector v."""
-    v_sq = mukai_square(surface, v)
-    if v_sq < -2:
-        raise ValueError(f"v^2 = {v_sq} < -2: the moduli space is empty")
-    return v_sq + 2
+    """Dimension v^2 + 2 of M(v): ext^1 of a stable sheaf with vector v."""
+    return ext_dims_on_X(surface, v, v, same_object=True)[1]
 
 
 TangentMatch = namedtuple("TangentMatch", ["dim_X", "dim_hilb", "match"])
@@ -152,6 +154,6 @@ def tangent_match(surface: K3Surface, v: MukaiVector, k: int) -> TangentMatch:
     even degrees, so the convolution leaves the degree-1 entry untouched
     and the match holds for every valid input.
     """
-    dim_x = moduli_dim(surface, v)
-    dim_hilb = ext_dims_on_hilb(ext_dims_on_X(surface, v, v, same_object=True), k)[1]
+    on_x = ext_dims_on_X(surface, v, v, same_object=True)
+    dim_x, dim_hilb = on_x[1], ext_dims_on_hilb(on_x, k)[1]
     return TangentMatch(dim_x, dim_hilb, dim_x == dim_hilb)

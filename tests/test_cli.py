@@ -169,6 +169,14 @@ def test_ext_negative_ext_exits_1(capsys):
     assert "error:" in err
 
 
+def test_ext_checks_rank_before_the_sign_of_ext1(capsys):
+    # v^2 + 2 = -28 would exit 1; the rank is checked first
+    code, out, err = run_cli(capsys, "ext", "50", "2", "-1", "1", "-40")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank must be positive, got r=-1\n"
+
+
 def test_ext_csv(capsys):
     code, out, _ = run_cli(capsys, "ext", "50", "2", "3", "1", "8", "--csv")
     assert code == 0
@@ -343,6 +351,20 @@ def test_search_limit_over_huge_h2_range_stops_early(workers):
     assert [(h["input"]["h_squared"], h["input"]["r"], h["input"]["s"]) for h in hits] == [
         ("4", "1", "3")
     ]
+
+
+@pytest.mark.parametrize("k", [10**18, 10**20])
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["report", "--csv"], ["ext", "--distinct"]],
+    ids=["check", "report-csv", "ext-distinct"],
+)
+def test_k_too_large_for_the_ext_table_exits_2(argv, k):
+    # no Ext table of 2k + 1 degrees fits in memory: refused, not attempted
+    proc = run_module(argv[0], "50", str(k), "3", "1", "8", *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: k = {k} is too large for an Ext table of 2k + 1 degrees\n"
 
 
 @pytest.mark.xfail(strict=True, reason="single huge cell scanned in full; ROADMAP item 2")

@@ -4,8 +4,9 @@ Whatever the arguments, `main` returns 0 (ok), 1 (a semantic negative) or
 2 (malformed input or an I/O failure), prints no traceback, and writes
 nothing to stdout when it returns 2.  Candidate tokens mix plausible
 integers with malformed ones; k stays small because the Ext table on
-X^[k] has 2k + 1 degrees.  Search boxes stay within h^2 <= 10^4 and run
-with `--workers 1`, so no pool and no long scan starts.
+X^[k] has 2k + 1 degrees, and an example takes a k that no table fits.
+Search boxes stay within h^2 <= 10^4 and run with `--workers 1`, so no
+pool and no long scan starts.
 """
 
 import contextlib
@@ -110,6 +111,7 @@ def _assert_contract(argv):
 @example(["check", "50", "0", "3", "1", "8"])
 @example(["check", "49", "2", "3", "1", "8", "--csv"])
 @example(["ext", "50", "2", "0", "1", "8"])
+@example(["check", "50", str(10**20), "3", "1", "8"])  # k too large for the Ext table
 @example(["-h"])
 @example([])
 def test_candidate_commands_keep_the_exit_code_contract(argv):

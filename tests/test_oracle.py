@@ -10,9 +10,13 @@ to 6, m != 1, empty moduli and negative image ranks.
 import contextlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from hilbstab import K3Surface, MukaiVector, build_certificate
@@ -20,7 +24,8 @@ from hilbstab.certificate import certificate_csv_row, certificate_to_dict
 from hilbstab.cli import main
 from hilbstab.search import _scan_cell
 
-_ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_ORACLE_PATH = _ROOT / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", _ORACLE_PATH)
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
@@ -92,6 +97,36 @@ def test_cli_stdout_and_exit_code_equal_oracle(cand, cmd, first, second):
     flags = [f for f, on in zip(FLAGS[cmd], (first, second)) if on]
     argv = [cmd, *map(str, cand), *flags]
     assert run(argv) == oracle.expected_call(argv)
+
+
+@pytest.fixture
+def no_digit_cap():
+    """Lift Python's 4300-digit cap on int <-> str here, as `hilbstab` does
+    at entry, so the oracle can read and print the same integers."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "8" * 4300, "2", "3", "2", "8"],  # m^2 h^2 has 4301 digits
+        ["check", "2", "2", "1", "9" * 2500, "1"],  # m^2 h^2 has 5001 digits
+        ["report", "8" * 5000, "2", "3", "1", "8", "--csv"],  # h^2 itself
+        ["ext", "8" * 5000, "2", "3", "1", "8"],
+    ],
+    ids=["check-h2-4300", "check-m-2500", "report-csv-h2-5000", "ext-h2-5000"],
+)
+def test_integers_of_any_length_render_as_the_oracle_does(argv, no_digit_cap):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbstab", *argv], capture_output=True, env=env, timeout=30
+    )
+    assert proc.stderr == b""
+    assert (proc.returncode, proc.stdout) == oracle.expected_call(argv)
 
 
 @settings(max_examples=60)

@@ -2,7 +2,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from hilbstab.lattice import K3Surface, MukaiVector, euler_pair, mukai_pairing
+from hilbstab.certificate import build_certificate
+from hilbstab.hilb import image_rank
+from hilbstab.lattice import K3Surface, MukaiVector, euler_pair, mukai_pairing, twisted_chi
 from hilbstab.pfunctor import (
     GradedDims,
     NegativeExt,
@@ -119,6 +121,20 @@ def test_ext_on_X_same_object_requires_equal_vectors():
         ext_dims_on_X(K3Surface(50), MukaiVector(3, 1, 8), MukaiVector(3, 1, 9), True)
 
 
+@pytest.mark.parametrize("same", [True, False])
+@pytest.mark.parametrize("r", [0, -1])
+def test_ext_on_X_requires_positive_rank_of_v(r, same):
+    bad = MukaiVector(r, 1, 8)
+    with pytest.raises(ValueError, match=f"rank must be positive, got r={r}"):
+        ext_dims_on_X(K3Surface(50), bad, bad, same)
+
+
+def test_ext_on_X_requires_positive_rank_of_w():
+    # r = 0: the pairing <v, w> = 50 would pass the sign check
+    with pytest.raises(ValueError, match="rank must be positive, got r=0"):
+        ext_dims_on_X(K3Surface(50), MukaiVector(3, 1, 8), MukaiVector(0, 1, 8), False)
+
+
 def test_ext_on_X_negative_ext_raises():
     rigid = MukaiVector(1, 1, 26)  # v^2 = -2 on h^2 = 50
     with pytest.raises(NegativeExt):
@@ -152,6 +168,10 @@ def test_ext_on_hilb_rejects_bad_input():
         ext_dims_on_hilb(GradedDims((1, 4, 1)), 0)
     with pytest.raises(ValueError):
         ext_dims_on_hilb(GradedDims((1, 0, 0, 1)), 2)
+    # no list of 2k + 1 entries fits in memory: refused before any allocation
+    for k in (10**18, 10**20):
+        with pytest.raises(ValueError, match=f"k = {k} is too large"):
+            ext_dims_on_hilb(GradedDims((1, 4, 1)), k)
 
 
 @given(surfaces, st.builds(MukaiVector, st.integers(1, 15), st.just(1), st.integers(-20, 20)), ks)
@@ -207,3 +227,23 @@ def test_tangent_match_always_true(S, v, k):
         return  # empty moduli
     assert result.match is True
     assert result.dim_X == result.dim_hilb
+
+
+@st.composite
+def nonempty_candidates(draw):
+    """(surface, v, k) with r >= 1 and v^2 >= -2, i.e. s <= (m^2 h^2 + 2) / 2r."""
+    S = draw(surfaces)
+    r, m = draw(st.integers(1, 15)), draw(st.integers(-3, 3))
+    s = (m * m * S.h_squared + 2) // (2 * r) - draw(st.integers(0, 40))
+    return S, MukaiVector(r, m, s), draw(ks)
+
+
+@given(nonempty_candidates())
+def test_each_invariant_has_one_value(cand):
+    S, v, k = cand
+    dim = moduli_dim(S, v)
+    assert dim == ext_dims_on_X(S, v, v, True)[1]
+    assert dim == tangent_match(S, v, k).dim_X
+    assert dim == build_certificate(S, v, k).moduli_dim
+    if twisted_chi(v, k) >= 0:
+        assert image_rank(v, k) == twisted_chi(v, k)
