@@ -78,7 +78,7 @@ def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate
         img_c1 = image_c1(v, k)
         t_rank = taut_rank(v, k)
         t_c1 = taut_c1(v, k)
-        if v.m == 1:
+        if report.primitive_ok:
             prod_a = product_c1(v, k).a
         else:
             prod_a = None

@@ -142,7 +142,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
     query = SearchQuery(_parse_range(args.h2), _parse_range(args.k))
     hits = iter_hits(query, workers=args.workers)
-    certs = islice(hits, args.limit)
+    # islice takes no count above sys.maxsize, which no run can reach anyway
+    certs = islice(hits, None if args.limit is None else min(args.limit, sys.maxsize))
     if args.csv:
         rows = chain([CSV_COLUMNS], map(certificate_csv_row, certs))
         chunks = (_render_csv([row]) for row in rows)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from math import gcd
 
+from .hilb import NegativeRank, image_rank
 from .lattice import (
+    HypothesisNotMet,
     K3Surface,
     MukaiVector,
     Value,
@@ -29,16 +31,11 @@ from .lattice import (
     mukai_square,
     require_positive_k,
     require_positive_rank,
-    twisted_chi,
+    require_primitive,
 )
 
-
-class HypothesisNotMet(ValueError):
-    """A certificate was requested outside the hypotheses that justify it."""
-
-
-class InconsistentCertificate(ValueError):
-    """The requested certificate would contain a negative section count."""
+# A negative section count h^0 = r+s-rk is a negative image rank.
+InconsistentCertificate = NegativeRank
 
 
 class AdmissibilityReport(Value):
@@ -112,10 +109,7 @@ def check_fineness(surface: K3Surface, v: MukaiVector) -> tuple[bool, int]:
 def check_nonempty(surface: K3Surface, v: MukaiVector) -> bool:
     """Nonemptiness of M_{X,h}(v) for primitive v of positive rank: v^2 >= -2."""
     require_positive_rank(v)
-    if v.m != 1:
-        raise ValueError(
-            f"nonemptiness criterion is stated only for m = 1, got m={v.m}"
-        )
+    require_primitive(v)
     return mukai_square(surface, v) >= -2
 
 
@@ -180,20 +174,14 @@ def vanishing_certificate(
     E tensor I_Z vanishes, so h^0 = chi = r + s - rk.
 
     Raises HypothesisNotMet when the inequality fails or m != 1, and
-    InconsistentCertificate when the section count would be negative.
+    NegativeRank (InconsistentCertificate) when h^0 would be negative.
     """
     require_positive_rank(v)
     require_positive_k(k)
-    if v.m != 1:
-        raise HypothesisNotMet(f"vanishing certificate requires m = 1, got m={v.m}")
+    require_primitive(v)
     ok, margin = check_inequality(surface, v, k)
     if not ok:
         raise HypothesisNotMet(
             f"section-count inequality fails with margin {margin}"
         )
-    h0 = twisted_chi(v, k)
-    if h0 < 0:
-        raise InconsistentCertificate(
-            f"section count r+s-rk = {h0} is negative"
-        )
-    return h0, 0, 0
+    return image_rank(v, k), 0, 0

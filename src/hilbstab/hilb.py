@@ -13,11 +13,11 @@ from enum import Enum
 from math import factorial
 
 from .lattice import K3Surface, MukaiVector, Value, twisted_chi
-from .lattice import require_positive_k, require_positive_rank
+from .lattice import require_positive_k, require_positive_rank, require_primitive
 
 
 class NegativeRank(ValueError):
-    """The candidate's image bundle would have negative rank."""
+    """The image bundle's rank, the section count h^0(E tensor I_Z), would be negative."""
 
 
 class HilbNSClass(Value):
@@ -99,8 +99,7 @@ def taut_c1(v: MukaiVector, k: int) -> HilbNSClass:
 
 def product_c1(v: MukaiVector, k: int) -> ProductClass:
     """c1 of the image bundle pulled to X^k: -(sum_i q_i^* h), so a = -1."""
-    if v.m != 1:
-        raise ValueError(f"product-space c1 is computed only for m = 1, got m={v.m}")
+    require_primitive(v)
     _require_rank_two_ns(k)
     return ProductClass(-1)
 

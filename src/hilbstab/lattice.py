@@ -85,6 +85,16 @@ class MukaiVector(Value):
         return MukaiVector(-self.r, -self.m, -self.s)
 
 
+class HypothesisNotMet(ValueError):
+    """A verdict or certificate was requested outside the hypotheses that justify it."""
+
+
+def require_primitive(v: MukaiVector) -> None:
+    """Raise HypothesisNotMet unless c1 = m*h has m = 1, the case the theory covers."""
+    if v.m != 1:
+        raise HypothesisNotMet(f"the hypotheses need primitive c1 = h (m = 1), got m={v.m}")
+
+
 def require_positive_rank(v: MukaiVector) -> None:
     """Raise ValueError unless v has rank r >= 1, as a sheaf behind it needs."""
     if v.r < 1:

@@ -62,13 +62,13 @@ class SearchQuery(Value):
         self, h_squared: int | tuple[int, int], k: int | tuple[int, int], r_max: int | None = None
     ) -> None:
         h_lo, h_hi = _as_range(h_squared)
-        if h_lo < 2 or h_lo % 2 != 0 or h_hi % 2 != 0:
-            raise InvalidQuery(
-                f"h_squared range must be positive and even-aligned, got {h_lo}-{h_hi}"
-            )
         k_lo, _ = _as_range(k)
-        if k_lo < 1:
-            raise InvalidQuery(f"k must be positive, got {k_lo}")
+        try:
+            K3Surface(h_lo)
+            K3Surface(h_hi)
+            require_positive_k(k_lo)
+        except ValueError as exc:
+            raise InvalidQuery(str(exc)) from exc
         if r_max is not None and r_max < 1:
             raise InvalidQuery(f"r_max override must be positive, got {r_max}")
         object.__setattr__(self, "h_squared", h_squared)

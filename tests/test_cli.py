@@ -7,12 +7,12 @@ import threading
 from pathlib import Path
 
 import pytest
+from child_env import child_env
 
 from hilbstab import cli
 from hilbstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +64,18 @@ def test_search_empty_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "search", "4-2", "2")
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "h2, k, message",
+    [
+        ("3", "2", "h_squared must be a positive even integer, got 3"),
+        ("2-11", "2", "h_squared must be a positive even integer, got 11"),
+        ("50", "0", "k must be a positive integer, got 0"),
+    ],
+)
+def test_search_bad_h2_or_k_exits_2_with_the_owners_message(capsys, h2, k, message):
+    assert run_cli(capsys, "search", h2, k) == (2, "", f"error: {message}\n")
 
 
 def test_search_malformed_range_exits_2(capsys):
@@ -322,13 +334,11 @@ def test_out_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
 
 def run_module(*argv, timeout=10.0):
     """`python -m hilbstab ARGV` in a subprocess; a hang fails after `timeout`."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hilbstab", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=timeout,
     )
 
@@ -351,6 +361,14 @@ def test_search_limit_over_huge_h2_range_stops_early(workers):
     assert [(h["input"]["h_squared"], h["input"]["r"], h["input"]["s"]) for h in hits] == [
         ("4", "1", "3")
     ]
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_search_limit_above_sys_maxsize_is_no_limit(fmt):
+    unlimited = run_module("search", "2-10", "2", fmt)
+    proc = run_module("search", "2-10", "2", fmt, "--limit", str(2**64))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == unlimited.stdout
 
 
 @pytest.mark.parametrize("k", [10**18, 10**20])
@@ -377,13 +395,11 @@ def test_search_limit_in_single_huge_cell_returns_first_row():
 
 
 def test_search_broken_pipe_exits_2_silently():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "hilbstab", "search", "2-1000", "2-4", "--csv"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     try:
         header = proc.stdout.readline()
@@ -412,8 +428,8 @@ def test_search_broken_pipe_exits_2_silently():
 def test_full_stdout_exits_2(argv):
     # With buffered stdout the output only meets the full device when it is
     # flushed, after the command has returned.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "hilbstab", *argv],
@@ -433,8 +449,7 @@ def test_full_stdout_exits_2(argv):
 
 def run_shell(redirect, *argv, buffered=False):
     """`python -m hilbstab ARGV REDIRECT` through sh, which can close fd 1 or 2."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = child_env()
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
     else:

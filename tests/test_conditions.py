@@ -16,7 +16,8 @@ from hilbstab.conditions import (
     extension_euler_formula,
     vanishing_certificate,
 )
-from hilbstab.lattice import K3Surface, MukaiVector, mukai_square, twisted_chi
+from hilbstab.hilb import NegativeRank, image_rank, product_c1
+from hilbstab.lattice import K3Surface, MukaiVector, mukai_square, require_primitive, twisted_chi
 
 surfaces = st.integers(1, 100).map(lambda n: K3Surface(2 * n))
 sheaf_vectors = st.builds(
@@ -190,6 +191,32 @@ def test_vanishing_inconsistent_section_count():
     # inequality holds (chi=7 >= 4) but r+s-rk = -3: certificate impossible
     with pytest.raises(InconsistentCertificate):
         vanishing_certificate(K3Surface(2), MukaiVector(5, 1, 2), 2)
+
+
+def test_m_not_1_is_refused_by_one_guard_with_one_message():
+    S, v = K3Surface(50), MukaiVector(3, 2, 8)
+    with pytest.raises(HypothesisNotMet) as owner:
+        require_primitive(v)
+    for call in (
+        lambda: check_nonempty(S, v),
+        lambda: vanishing_certificate(S, v, 2),
+        lambda: product_c1(v, 2),
+    ):
+        with pytest.raises(HypothesisNotMet) as info:
+            call()
+        assert str(info.value) == str(owner.value)
+
+
+def test_negative_section_count_is_the_negative_image_rank():
+    # the inequality holds with margin 448, yet h^0 = r+s-rk = -40
+    S, v, k = K3Surface(2), MukaiVector(10, 1, 50), 10
+    assert check_inequality(S, v, k) == (True, 448)
+    assert InconsistentCertificate is NegativeRank
+    with pytest.raises(NegativeRank) as owner:
+        image_rank(v, k)
+    with pytest.raises(NegativeRank) as info:
+        vanishing_certificate(S, v, k)
+    assert str(info.value) == str(owner.value) == "image rank r+s-rk = -40 is negative"
 
 
 @given(surfaces, primitive_vectors, ks)

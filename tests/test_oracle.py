@@ -10,13 +10,13 @@ to 6, m != 1, empty moduli and negative image ranks.
 import contextlib
 import importlib.util
 import io
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
+from child_env import child_env
 from hypothesis import example, given, settings
 
 from hilbstab import K3Surface, MukaiVector, build_certificate
@@ -120,10 +120,8 @@ def no_digit_cap():
     ids=["check-h2-4300", "check-m-2500", "report-csv-h2-5000", "ext-h2-5000"],
 )
 def test_integers_of_any_length_render_as_the_oracle_does(argv, no_digit_cap):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "hilbstab", *argv], capture_output=True, env=env, timeout=30
+        [sys.executable, "-m", "hilbstab", *argv], capture_output=True, env=child_env(), timeout=30
     )
     assert proc.stderr == b""
     assert (proc.returncode, proc.stdout) == oracle.expected_call(argv)

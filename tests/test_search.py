@@ -7,6 +7,7 @@ from time import perf_counter
 
 import pytest
 from brute_force import raw_scan
+from child_env import child_env
 
 from hilbstab.conditions import (
     check_fineness,
@@ -16,7 +17,7 @@ from hilbstab.conditions import (
     extension_euler_formula,
 )
 from hilbstab.hilb import HilbNSClass
-from hilbstab.lattice import K3Surface, MukaiVector, euler_char, mukai_square
+from hilbstab.lattice import K3Surface, MukaiVector, euler_char, mukai_square, require_positive_k
 from hilbstab.pfunctor import tangent_match
 from hilbstab import search
 from hilbstab.search import (
@@ -143,6 +144,24 @@ def test_invalid_queries():
         SearchQuery(50, 2, r_max=0)
 
 
+@pytest.mark.parametrize(
+    "args, owner",
+    [
+        ((3, 2), lambda: K3Surface(3)),
+        ((0, 2), lambda: K3Surface(0)),
+        (((2, 11), 2), lambda: K3Surface(11)),
+        ((50, 0), lambda: require_positive_k(0)),
+    ],
+    ids=["h2-3", "h2-0", "h2-2-11", "k-0"],
+)
+def test_invalid_query_carries_the_owners_message(args, owner):
+    with pytest.raises(ValueError) as expected:
+        owner()
+    with pytest.raises(InvalidQuery) as info:
+        SearchQuery(*args)
+    assert str(info.value) == str(expected.value)
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -263,14 +282,12 @@ def test_report_flags_independent_of_each_other():
 
 def test_survey_script_counts_every_hit():
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "survey_hits.py"),
          "--h2-max", "60", "--k-min", "2", "--k-max", "3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr

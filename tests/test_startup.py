@@ -7,12 +7,10 @@ that need it, and the process pool and the temporary-file module load
 only when `search --workers` or `--out` uses them.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from child_env import child_env
 
 KEPT_OFF = (
     "dataclasses",
@@ -35,12 +33,11 @@ print(type(slope_on_X(K3Surface(50), MukaiVector(3, 1, 8))).__name__)
 
 def test_cli_import_keeps_heavy_modules_off():
     # -S: the interpreter's site hooks may import typing on their own
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", PROBE],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr

@@ -11,10 +11,11 @@ bypasses one fails here rather than in a benchmark run.
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from child_env import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 _TRACED_PATH = ROOT / "perfbench" / "traced.py"
@@ -46,13 +47,11 @@ print(json.dumps({"calls": results, "spans": [span[0] for span in tracer.spans]}
 
 
 def run_traced() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN, str(_TRACED_PATH), json.dumps(CALLS)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
