@@ -13,7 +13,7 @@ Usage:
 import argparse
 from collections import Counter
 
-from hilbstab.search import SearchQuery, enumerate_hits
+from hilbstab.search import InvalidQuery, SearchQuery, enumerate_hits
 
 
 def main() -> None:
@@ -27,7 +27,10 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    query = SearchQuery((2, args.h2_max), (args.k_min, args.k_max))
+    try:
+        query = SearchQuery((2, args.h2_max), (args.k_min, args.k_max))
+    except InvalidQuery as exc:
+        parser.error(str(exc))
     hits = enumerate_hits(query, workers=args.workers)
 
     by_cell: dict[tuple[int, int], list] = {}

@@ -41,8 +41,8 @@ InconsistentCertificate = NegativeRank
 class AdmissibilityReport(Value):
     """All intermediate quantities and verdicts for one candidate.
 
-    Every field is a pure function of (h^2, k, r, m, s); the verdicts can be
-    recomputed independently from the check_* functions below.
+    Every field is a pure function of (h^2, k, r, m, s), computed once by
+    admissibility_report; the check_* functions below return its fields.
     """
 
     def __init__(
@@ -81,18 +81,16 @@ def check_inequality(
     Returns (verdict, margin) with margin = chi - threshold; the division
     by 2 is exact because v^2 is even.
     """
-    require_positive_rank(v)
-    require_positive_k(k)
-    chi = euler_char(v)
-    threshold = mukai_square(surface, v) // 2 + (v.r + 1) * k + 1
-    margin = chi - threshold
-    return margin >= 0, margin
+    report = admissibility_report(surface, v, k)
+    return report.ineq_ok, report.margin
+
+
+# The three conditions below do not depend on k, so they read the report at k = 1.
 
 
 def check_local_freeness(surface: K3Surface, v: MukaiVector) -> bool:
     """True iff v^2 + 2 < 2r, so every sheaf in M_{X,h}(v) is locally free."""
-    require_positive_rank(v)
-    return mukai_square(surface, v) + 2 < 2 * v.r
+    return admissibility_report(surface, v, 1).locally_free_ok
 
 
 def check_fineness(surface: K3Surface, v: MukaiVector) -> tuple[bool, int]:
@@ -101,43 +99,44 @@ def check_fineness(surface: K3Surface, v: MukaiVector) -> tuple[bool, int]:
     This is the standard sufficient criterion; it is implied by the shortcut
     gcd(r, s) = 1 since gcd(r, s) = gcd(r, r+s).
     """
-    require_positive_rank(v)
-    g = gcd(v.r, v.m * surface.h_squared, euler_char(v))
-    return g == 1, g
+    report = admissibility_report(surface, v, 1)
+    return report.fine_ok, report.gcd_value
 
 
 def check_nonempty(surface: K3Surface, v: MukaiVector) -> bool:
     """Nonemptiness of M_{X,h}(v) for primitive v of positive rank: v^2 >= -2."""
-    require_positive_rank(v)
+    report = admissibility_report(surface, v, 1)
     require_primitive(v)
-    return mukai_square(surface, v) >= -2
+    return report.nonempty_ok
 
 
 def admissibility_report(
     surface: K3Surface, v: MukaiVector, k: int
 ) -> AdmissibilityReport:
-    """Evaluate every condition on (surface, v, k) and collect the verdicts.
+    """Evaluate each condition on (surface, v, k) once and collect the verdicts.
 
-    The raw bound v^2 >= -2 is recorded for any m so that non-primitive
-    candidates still get a full report; primitivity itself is the separate
-    primitive_ok flag, and admissibility requires all five verdicts.
+    The check_* functions return fields of this report.  The raw bound
+    v^2 >= -2 is recorded for any m so that non-primitive candidates still
+    get a full report; primitivity itself is the separate primitive_ok flag,
+    and admissibility requires all five verdicts.
     """
     require_positive_rank(v)
     require_positive_k(k)
     chi = euler_char(v)
     v_sq = mukai_square(surface, v)
-    ineq_ok, margin = check_inequality(surface, v, k)
-    fine_ok, gcd_value = check_fineness(surface, v)
+    threshold = v_sq // 2 + (v.r + 1) * k + 1
+    gcd_triple = (v.r, v.m * surface.h_squared, chi)
+    gcd_value = gcd(*gcd_triple)
     return AdmissibilityReport(
         chi=chi,
         v_sq=v_sq,
-        threshold=chi - margin,
-        margin=margin,
+        threshold=threshold,
+        margin=chi - threshold,
         nonempty_ok=v_sq >= -2,
-        ineq_ok=ineq_ok,
-        locally_free_ok=check_local_freeness(surface, v),
-        fine_ok=fine_ok,
-        gcd_triple=(v.r, v.m * surface.h_squared, chi),
+        ineq_ok=chi >= threshold,
+        locally_free_ok=v_sq + 2 < 2 * v.r,
+        fine_ok=gcd_value == 1,
+        gcd_triple=gcd_triple,
         gcd_value=gcd_value,
         primitive_ok=v.m == 1,
     )
@@ -176,10 +175,9 @@ def vanishing_certificate(
     Raises HypothesisNotMet when the inequality fails or m != 1, and
     NegativeRank (InconsistentCertificate) when h^0 would be negative.
     """
-    require_positive_rank(v)
-    require_positive_k(k)
-    require_primitive(v)
+    # check_inequality runs the rank and k guards; m = 1 is refused before its verdict.
     ok, margin = check_inequality(surface, v, k)
+    require_primitive(v)
     if not ok:
         raise HypothesisNotMet(
             f"section-count inequality fails with margin {margin}"

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from hilbstab import conditions
 from hilbstab.conditions import (
     HypothesisNotMet,
     InconsistentCertificate,
@@ -17,7 +18,7 @@ from hilbstab.conditions import (
     vanishing_certificate,
 )
 from hilbstab.hilb import NegativeRank, image_rank, product_c1
-from hilbstab.lattice import K3Surface, MukaiVector, mukai_square, require_primitive, twisted_chi
+from hilbstab.lattice import K3Surface, MukaiVector, require_primitive, twisted_chi
 
 surfaces = st.integers(1, 100).map(lambda n: K3Surface(2 * n))
 sheaf_vectors = st.builds(
@@ -115,23 +116,57 @@ def test_report_nonprimitive_not_admissible():
 
 @given(surfaces, sheaf_vectors, ks)
 def test_report_flags_recomputable(S, v, k):
+    # an oracle written from (h^2, r, m, s, k) alone, apart from the report
+    h2, r, m, s = S.h_squared, v.r, v.m, v.s
+    v_sq = m * m * h2 - 2 * r * s
+    chi = r + s
+    threshold = v_sq // 2 + (r + 1) * k + 1
+    g = gcd(gcd(r, m * h2), chi)
     rep = admissibility_report(S, v, k)
-    ok, margin = check_inequality(S, v, k)
-    assert (rep.ineq_ok, rep.margin) == (ok, margin)
-    assert rep.locally_free_ok == check_local_freeness(S, v)
-    fine_ok, g = check_fineness(S, v)
-    assert (rep.fine_ok, rep.gcd_value) == (fine_ok, g)
-    assert rep.nonempty_ok == (mukai_square(S, v) >= -2)
-    assert rep.primitive_ok == (v.m == 1)
-    assert rep.chi == v.r + v.s
-    assert rep.threshold == rep.chi - rep.margin
-    assert rep.admissible == (
-        rep.primitive_ok
-        and rep.nonempty_ok
-        and rep.ineq_ok
-        and rep.locally_free_ok
-        and rep.fine_ok
+    assert (rep.v_sq, rep.chi, rep.threshold, rep.margin) == (
+        v_sq, chi, threshold, chi - threshold
     )
+    assert (rep.gcd_triple, rep.gcd_value) == ((r, m * h2, chi), g)
+    assert rep.nonempty_ok == (v_sq >= -2)
+    assert rep.ineq_ok == (chi >= threshold)
+    assert rep.locally_free_ok == (v_sq + 2 < 2 * r)
+    assert rep.fine_ok == (g == 1)
+    assert rep.primitive_ok == (m == 1)
+    assert rep.admissible == (
+        m == 1 and v_sq >= -2 and chi >= threshold and v_sq + 2 < 2 * r and g == 1
+    )
+    assert check_inequality(S, v, k) == (chi >= threshold, chi - threshold)
+    assert check_local_freeness(S, v) == (v_sq + 2 < 2 * r)
+    assert check_fineness(S, v) == (g == 1, g)
+    if m == 1:
+        assert check_nonempty(S, v) == (v_sq >= -2)
+
+
+def test_each_value_is_computed_once_per_call(monkeypatch):
+    # admissibility_report owns v^2, chi and the gcd; the check_* read its fields
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    once = ["mukai_square", "euler_char", "gcd", "require_positive_rank", "require_positive_k"]
+    for name in once + ["require_primitive"]:
+        monkeypatch.setattr(conditions, name, counted(name, getattr(conditions, name)))
+    S, v = K3Surface(50), MukaiVector(3, 1, 8)
+    for call, primitive_guard in (
+        (lambda: admissibility_report(S, v, 2), []),
+        (lambda: check_inequality(S, v, 2), []),
+        (lambda: check_local_freeness(S, v), []),
+        (lambda: check_fineness(S, v), []),
+        (lambda: check_nonempty(S, v), ["require_primitive"]),
+        (lambda: vanishing_certificate(S, v, 2), ["require_primitive"]),
+    ):
+        calls.clear()
+        call()
+        assert sorted(calls) == sorted(once + primitive_guard)
 
 
 # ------------------------------------------------- extension Euler pairing
@@ -191,6 +226,20 @@ def test_vanishing_inconsistent_section_count():
     # inequality holds (chi=7 >= 4) but r+s-rk = -3: certificate impossible
     with pytest.raises(InconsistentCertificate):
         vanishing_certificate(K3Surface(2), MukaiVector(5, 1, 2), 2)
+
+
+def test_vanishing_errors_come_in_guard_order():
+    # rank, then k, then m = 1, then the inequality, then h^0
+    cases = (
+        (50, MukaiVector(0, 2, 6), 0, "rank must be positive"),
+        (50, MukaiVector(4, 2, 6), 0, "k must be a positive integer"),
+        (50, MukaiVector(4, 2, 6), 2, "the hypotheses need primitive"),
+        (50, MukaiVector(4, 1, 6), 2, "section-count inequality fails"),
+        (2, MukaiVector(10, 1, 50), 10, "image rank"),
+    )
+    for h2, v, k, message in cases:
+        with pytest.raises(ValueError, match=message):
+            vanishing_certificate(K3Surface(h2), v, k)
 
 
 def test_m_not_1_is_refused_by_one_guard_with_one_message():
