@@ -540,6 +540,51 @@ def test_golden_output_byte_exact(capsys, filename, argv):
     assert out == golden
 
 
+# ext 50 1 1 1 25 --distinct has an all-zero table: every degree is still
+# printed, where the canonical (stripped) GradedDims would print nothing.
+EXT_ZEROS_JSON = """{
+  "input": {
+    "h_squared": "50",
+    "k": "1",
+    "r": "1",
+    "m": "1",
+    "s": "25"
+  },
+  "distinct": true,
+  "ext_on_X": [
+    "0",
+    "0",
+    "0"
+  ],
+  "ext_on_hilb": [
+    "0",
+    "0",
+    "0"
+  ]
+}
+"""
+EXT_CASES = [
+    (["ext", "50", "2", "3", "1", "8"], "ext_50_2_3_1_8.json"),
+    (["ext", "50", "2", "3", "1", "8", "--csv"], "ext_50_2_3_1_8.csv"),
+    (["ext", "50", "2", "3", "1", "8", "--distinct"], "ext_50_2_3_1_8_distinct.json"),
+    (["ext", "50", "2", "3", "1", "8", "--distinct", "--csv"], "ext_50_2_3_1_8_distinct.csv"),
+    (["ext", "50", "1", "1", "1", "25", "--distinct"], EXT_ZEROS_JSON),
+    (["ext", "50", "1", "1", "1", "25", "--distinct", "--csv"], "space,dims\nX,0 0 0\nhilb,0 0 0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", EXT_CASES,
+    ids=["json", "csv", "distinct-json", "distinct-csv", "zeros-json", "zeros-csv"],
+)
+def test_ext_output_byte_exact(capsys, argv, expected):
+    """ext prints each table over its full degree range, 0..2 and 0..2k."""
+    if expected.startswith("ext_"):
+        expected = (GOLDEN / expected).read_text(encoding="utf-8", errors="strict")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, expected)
+
+
 # ------------------------------------------------------------- entry point
 
 
