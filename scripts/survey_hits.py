@@ -13,7 +13,7 @@ Usage:
 import argparse
 from collections import Counter
 
-from hilbstab.search import InvalidQuery, SearchQuery, enumerate_hits
+from hilbstab.search import SearchQuery, iter_hits
 
 
 def main() -> None:
@@ -29,9 +29,10 @@ def main() -> None:
 
     try:
         query = SearchQuery((2, args.h2_max), (args.k_min, args.k_max))
-    except InvalidQuery as exc:
+        stream = iter_hits(query, workers=args.workers)  # checks workers before any scan
+    except ValueError as exc:  # InvalidQuery, or --workers below 1
         parser.error(str(exc))
-    hits = enumerate_hits(query, workers=args.workers)
+    hits = list(stream)
 
     by_cell: dict[tuple[int, int], list] = {}
     for c in hits:

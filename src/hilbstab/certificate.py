@@ -7,13 +7,15 @@ has no product-space comparison, v^2 < -2 has empty moduli) are left
 unset and explained by a fixed note string.
 
 Both projections, the nested JSON dict and the flat CSV row, are read off
-one field table, FIELDS.  Integer payloads are rendered as decimal strings
-in JSON: h^2 is unbounded, so values can exceed any fixed-width integer a
-consumer might parse into.  Booleans stay JSON booleans.
+one field table, FIELDS, and so is the input block of the ext record.
+Integer payloads are rendered as decimal strings in JSON: h^2 is
+unbounded, so values can exceed any fixed-width integer a consumer might
+parse into.  Booleans stay JSON booleans.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import attrgetter
 
 from .conditions import AdmissibilityReport, admissibility_report
@@ -198,3 +200,25 @@ def certificate_csv_row(cert: Certificate) -> list[str]:
         else:
             row.append(value)
     return row
+
+
+# What `ext` prints: the candidate, the Ext table on X between two stable
+# sheaves with vector v (the same one unless distinct) and its image on X^[k].
+ExtRecord = namedtuple("ExtRecord", "surface k v distinct ext_on_X ext_on_hilb")
+
+
+def ext_to_dict(rec: ExtRecord) -> dict:
+    """The ext record as JSON: the input rows of FIELDS, then each Ext table
+    over its full degree range, 0..2 on X and 0..2k on X^[k], zeros kept."""
+    out = {"input": {key: _json_value(get(rec)) for group, key, _, get in _COMPILED
+                     if group == "input"}, "distinct": rec.distinct}
+    for key, top in (("ext_on_X", 2), ("ext_on_hilb", 2 * rec.k)):
+        out[key] = _json_value(tuple(getattr(rec, key)[i] for i in range(top + 1)))
+    return out
+
+
+def ext_csv_rows(rec: ExtRecord) -> list[list[str]]:
+    """The ext record as CSV: a space,dims row per Ext table of ext_to_dict."""
+    tables = ext_to_dict(rec)
+    return [["space", "dims"], ["X", " ".join(tables["ext_on_X"])],
+            ["hilb", " ".join(tables["ext_on_hilb"])]]

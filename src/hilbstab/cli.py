@@ -2,12 +2,12 @@
 
 Exit codes: 0 on success (and on admissible with --strict), 1 on a
 semantic negative (--strict with a non-admissible candidate, or an Ext
-table that cannot exist), 2 on malformed input or an I/O failure (an
-unwritable --out, a full or closed stdout, or a reader that closed the
-pipe).  A closed or full stderr loses only the error message, never the
-exit code.  Output goes to stdout or to --out; JSON is the default format,
---csv selects the flat projection.  Search output is written record by
-record as hits are found.
+table that cannot exist), 2 on malformed input or an environment failure
+(an unwritable --out, a full or closed stdout, a reader that closed the
+pipe, or running out of memory).  A closed or full stderr loses only the
+error message, never the exit code.  Output goes to stdout or to --out;
+JSON is the default format, --csv selects the flat projection.  Search
+output is written record by record as hits are found.
 """
 
 from __future__ import annotations
@@ -22,12 +22,8 @@ import stat
 import sys
 from itertools import chain, islice
 
-from .certificate import (
-    CSV_COLUMNS,
-    build_certificate,
-    certificate_csv_row,
-    certificate_to_dict,
-)
+from .certificate import CSV_COLUMNS, ExtRecord, build_certificate, certificate_csv_row
+from .certificate import certificate_to_dict, ext_csv_rows, ext_to_dict
 from .lattice import K3Surface, MukaiVector
 from .pfunctor import NegativeExt, ext_dims_on_hilb, ext_dims_on_X
 # enumerate_hits is unused here but stays importable: perfbench/traced.py
@@ -159,28 +155,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_ext(args: argparse.Namespace) -> int:
     surface, v = _candidate(args)
     on_x = ext_dims_on_X(surface, v, v, same_object=not args.distinct)
-    on_hilb = ext_dims_on_hilb(on_x, args.k)
-    # Render over the full degree range of each space: 0..2 on the surface,
-    # 0..2k on the Hilbert scheme (canonical GradedDims strips trailing zeros).
-    x_cells = [str(on_x[i]) for i in range(3)]
-    hilb_cells = [str(on_hilb[i]) for i in range(2 * args.k + 1)]
+    rec = ExtRecord(surface, args.k, v, args.distinct, on_x, ext_dims_on_hilb(on_x, args.k))
     if args.csv:
-        rows = [["space", "dims"], ["X", " ".join(x_cells)], ["hilb", " ".join(hilb_cells)]]
-        chunks = [_render_csv(rows)]
+        chunks = [_render_csv(ext_csv_rows(rec))]
     else:
-        payload = {
-            "input": {
-                "h_squared": str(args.h2),
-                "k": str(args.k),
-                "r": str(args.r),
-                "m": str(args.m),
-                "s": str(args.s),
-            },
-            "distinct": args.distinct,
-            "ext_on_X": x_cells,
-            "ext_on_hilb": hilb_cells,
-        }
-        chunks = [_render_json(payload), "\n"]
+        chunks = [_render_json(ext_to_dict(rec)), "\n"]
     _emit(args.out, chunks)
     return 0
 
@@ -288,10 +267,11 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone (say `| head`): exit quietly
         code = 2
-    except (ValueError, OSError) as exc:  # NegativeExt: an Ext table that cannot exist
+    except (ValueError, OSError, MemoryError) as exc:  # NegativeExt: an Ext table that cannot exist
         code = 1 if isinstance(exc, NegativeExt) else 2
+        message = "out of memory" if isinstance(exc, MemoryError) else exc  # it has no text
         try:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         except OSError:  # stderr is full as well
             pass
     _settle(sys.stdout)

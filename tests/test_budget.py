@@ -1,0 +1,180 @@
+"""Time and memory budgets of the CLI, checked in capped child processes.
+
+Aim 3 of the roadmap: no input may make the tool hang, or grow memory
+without bound, before it emits its first result.  Each adversarial argv
+below must either write its first record within DEADLINE_S seconds and
+peak at no more than PEAK_MB, or exit 2 with one `error:` line.  Running
+out of memory is malformed environment, not a semantic negative: it exits
+2, never 1 with a traceback.
+
+Every child runs with its address space capped by `resource.setrlimit` in
+`preexec_fn`, so the cap acts on that child only.  The peak is the
+child's own: a small launcher process starts it, reads its stdout until
+the first record, kills it and takes `ru_maxrss` from `os.wait4`.  That
+figure carries over only the launcher's RSS at fork, never the test
+process's.
+"""
+
+import json
+import resource
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from child_env import child_env
+
+DEADLINE_S = 2.0
+PEAK_MB = 64
+CAP_BYTES = 1 << 30
+
+# argv: CAP_BYTES DEADLINE_S PEAK_MB hilbstab-argv...  Prints one JSON
+# object: seconds to the first record or to the end of stdout (null if
+# neither came in time), the exit code (null when killed), the output and
+# the peak RSS in MB.  A first record is complete once stdout holds two
+# newlines: one JSON document or search item is a single write, and a CSV
+# header comes before the first row.  The child is killed as soon as its
+# high-water RSS passes PEAK_MB, which also keeps the concurrent cases small.
+LAUNCHER = """
+import json, os, resource, select, signal, subprocess, sys, time
+cap, deadline, peak_kb, argv = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]) << 10, sys.argv[4:]
+
+def hwm_kb(pid):
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            return next((int(line.split()[1]) for line in status if line.startswith("VmHWM:")), 0)
+    except OSError:
+        return 0
+
+start = time.monotonic()
+child = subprocess.Popen(
+    [sys.executable, "-m", "hilbstab", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    env=dict(os.environ, PYTHONUNBUFFERED="1"), start_new_session=True,
+    preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+out, answered = b"", None
+while answered is None and hwm_kb(child.pid) <= peak_kb:
+    left = start + deadline - time.monotonic()
+    if left <= 0:
+        break
+    if select.select([child.stdout], [], [], min(left, 0.01))[0]:
+        chunk = os.read(child.stdout.fileno(), 1 << 16)
+        out += chunk
+        if not chunk or out.count(b"\\n") >= 2:
+            answered = time.monotonic() - start
+os.killpg(child.pid, signal.SIGKILL)  # with any pool workers, which hold the pipes
+_, status, usage = os.wait4(child.pid, 0)
+print(json.dumps({
+    "answered_s": answered,
+    "exit": os.waitstatus_to_exitcode(status) if os.WIFEXITED(status) else None,
+    "stdout": out.decode(errors="replace"),
+    "stderr": child.stderr.read().decode(errors="replace"),
+    "peak_mb": usage.ru_maxrss / 1024,
+}))
+"""
+
+
+def _xfail(item: str, why: str):
+    return pytest.mark.xfail(strict=True, reason=f"{why}; ROADMAP item {item}")
+
+
+_HUGE_CELL = _xfail("2", "the whole cell is scanned before its first hit")
+_K_LINEAR = _xfail("4", "memory is linear in k")
+TEN_30 = str(10**30)
+
+CASES = [
+    pytest.param(["check", "50", "2", "3", "1", "8"], id="check"),
+    pytest.param(["check", TEN_30, "2", "3", "1", "8"], id="check-h2-1e30"),
+    pytest.param(["report", TEN_30, "1000", "3", "1", "8", "--csv"], id="report-h2-1e30-k-1000"),
+    pytest.param(["ext", "50", "10000", "3", "1", "8"], id="ext-k-1e4"),
+    pytest.param(["check", "50", "1000000000", "3", "1", "8"], id="check-k-1e9"),
+    pytest.param(["report", "50", "1000000000", "3", "1", "8", "--csv"], id="report-k-1e9"),
+    pytest.param(["ext", "50", "1000000000", "3", "1", "8", "--distinct"], id="ext-k-1e9"),
+    pytest.param(["check", "50", str(10**18), "3", "1", "8"], id="check-k-1e18"),
+    pytest.param(["check", "50", "1000000", "3", "1", "8"], marks=_K_LINEAR, id="check-k-1e6"),
+    pytest.param(["report", "50", "1000000", "3", "1", "8"], marks=_K_LINEAR, id="report-k-1e6"),
+    pytest.param(["ext", "50", "1000000", "3", "1", "8"], marks=_K_LINEAR, id="ext-k-1e6"),
+    pytest.param(["check", "50", "2000000", "3", "1", "8"], marks=_K_LINEAR, id="check-k-2e6"),
+    pytest.param(["report", "50", "2000000", "3", "1", "8"], marks=_K_LINEAR, id="report-k-2e6"),
+    pytest.param(["ext", "50", "2000000", "3", "1", "8"], marks=_K_LINEAR, id="ext-k-2e6"),
+    pytest.param(["search", "186", "3"], id="search-cell"),
+    pytest.param(["search", "2-1000000", "2-4", "--csv"], id="search-wide-h2"),
+    pytest.param(["search", f"2-{TEN_30}", "2-1000000000", "--limit", "1"], id="search-wide-box"),
+    pytest.param(
+        ["search", f"2-{TEN_30}", "1-1000000000", "--csv", "--limit", "1"], id="search-wide-box-k-1"
+    ),
+    pytest.param(["search", "2-100000", "1000000000", "--limit", "1"], id="search-k-1e9-empty"),
+    pytest.param(["search", "2-1000", "2-4", "--workers", "2"], id="search-pool"),
+    pytest.param(
+        ["search", "1000000000000", "1", "--limit", "1"],
+        marks=_xfail("7", "a k = 1 cell is scanned over all h^2/2 ranks before its first hit"),
+        id="search-k-1-h2-1e12",
+    ),
+    pytest.param(
+        ["search", "2000000000000000000000", "2", "--limit", "1"], marks=_HUGE_CELL,
+        id="search-h2-2e21",
+    ),
+    pytest.param(
+        ["search", "100000000", "2-3", "--csv", "--limit", "5"], marks=_HUGE_CELL,
+        id="search-h2-1e8-csv",
+    ),
+    pytest.param(
+        ["search", TEN_30, "1000000000", "--limit", "1"], marks=_HUGE_CELL, id="search-h2-1e30-k-1e9"
+    ),
+]
+
+
+def _launch(argv: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCHER, str(CAP_BYTES), str(DEADLINE_S), str(PEAK_MB), *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def outcomes() -> dict:
+    """Every case's outcome, eight at a time.  The strict xfails start
+    first: the searches among them run to their deadline."""
+    argvs = [case.values[0] for case in sorted(CASES, key=lambda case: not case.marks)]
+    with ThreadPoolExecutor(12) as pool:
+        return dict(zip(map(tuple, argvs), pool.map(_launch, argvs)))
+
+
+@pytest.mark.parametrize("argv", CASES)
+def test_first_result_within_budget(outcomes, argv):
+    outcome = outcomes[tuple(argv)]
+    assert "Traceback" not in outcome["stderr"]
+    assert outcome["answered_s"] is not None, (
+        f"no first record within {DEADLINE_S} s, or a peak above {PEAK_MB} MB first: {outcome}"
+    )
+    if outcome["exit"] == 2:
+        assert outcome["stdout"] == ""
+        assert outcome["stderr"].count("\n") == 1
+        assert outcome["stderr"].startswith("error: ")
+    else:
+        assert outcome["stdout"]
+        assert outcome["peak_mb"] <= PEAK_MB, outcome
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+
+@pytest.mark.parametrize("command", ["check", "ext"])
+def test_out_of_memory_exits_2_with_one_error_line(command):
+    # at k = 10^6 the Ext table fits under the cap, but its JSON does not
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbstab", command, "50", "1000000", "3", "1", "8"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")

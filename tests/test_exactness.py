@@ -1,0 +1,74 @@
+"""Static guard for exact arithmetic in `src/hilbstab`.
+
+Every quantity is an integer or a `Fraction`, so the package source holds
+no float or complex literal, no true division (`/` or `/=`; `//` is
+floor division and stays), no `float(` call, and no `math.sqrt`,
+`math.log` or `math.pow`, whether reached as an attribute or through
+`from math import`.  `math.isqrt` stays: it is exact.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hilbstab
+
+SOURCES = sorted(Path(hilbstab.__file__).resolve().parent.glob("*.py"))
+INEXACT_MATH = {"sqrt", "log", "pow"}
+
+
+def inexact_nodes(tree: ast.AST) -> list[str]:
+    """A description of every inexact construct in tree, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            what = f"literal {node.value!r}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            what = "true division"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            what = "float() call"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in INEXACT_MATH
+        ):
+            what = f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = sorted(INEXACT_MATH & {alias.name for alias in node.names})
+            if not names:
+                continue
+            what = f"from math import {', '.join(names)}"
+        else:
+            continue
+        found.append((node.lineno, what))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_guard_sees_every_inexact_construct():
+    source = (
+        "from math import isqrt, log\n"
+        "import math\n"
+        "a = 1.5\nb = 2j\nc = 3 / 4\nc /= 2\nd = float(7)\ne = math.sqrt(2)\n"
+        "f = math.pow(2, 3)\ng = 7 // 2\nh = isqrt(10)\n"
+    )
+    assert inexact_nodes(ast.parse(source)) == [
+        "line 1: from math import log",
+        "line 3: literal 1.5",
+        "line 4: literal 2j",
+        "line 5: true division",
+        "line 6: true division",
+        "line 7: float() call",
+        "line 8: math.sqrt",
+        "line 9: math.pow",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_source_is_exact(path):
+    assert inexact_nodes(ast.parse(path.read_text(encoding="utf-8"))) == []

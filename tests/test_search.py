@@ -303,6 +303,7 @@ def test_survey_script_counts_every_hit():
     ["--h2-max", "1"],
     ["--k-min", "0"],
     ["--k-min", "3", "--k-max", "2"],
+    ["--workers", "0"],
 ])
 def test_survey_script_bad_query_exits_2_with_one_error_line(argv):
     proc = run_survey(*argv)
