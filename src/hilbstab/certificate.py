@@ -213,7 +213,8 @@ def ext_to_dict(rec: ExtRecord) -> dict:
     out = {"input": {key: _json_value(get(rec)) for group, key, _, get in _COMPILED
                      if group == "input"}, "distinct": rec.distinct}
     for key, top in (("ext_on_X", 2), ("ext_on_hilb", 2 * rec.k)):
-        out[key] = _json_value(tuple(getattr(rec, key)[i] for i in range(top + 1)))
+        dims = getattr(rec, key)
+        out[key] = [str(dims[i]) for i in range(top + 1)]
     return out
 
 
