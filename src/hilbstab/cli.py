@@ -13,8 +13,6 @@ output is written record by record as hits are found.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -47,9 +45,13 @@ def _render_json(value) -> str:
 
 
 def _render_csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """CSV text of rows, one "\n"-ended line each, as csv.writer writes them.
+
+    Every cell the program writes is a name, true or false, empty, or one or
+    more space-separated decimals, and every row has several cells, so no
+    cell needs quoting.
+    """
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _json_list(values):

@@ -18,7 +18,6 @@ brute-force scan in the test suite.
 from __future__ import annotations
 
 import os
-from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import chain, islice
 from math import isqrt
@@ -26,12 +25,6 @@ from math import isqrt
 from .certificate import Certificate, build_certificate
 from .conditions import admissibility_report
 from .lattice import K3Surface, MukaiVector, Value, require_positive_k
-
-
-# Cells in flight per pool process: enough to keep every process busy while
-# the consumer certifies and writes earlier cells, few enough that memory
-# and the work wasted by an early stop stay small.
-WINDOW_PER_PROCESS = 8
 
 
 class InvalidQuery(ValueError):
@@ -137,37 +130,33 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def _scan_pair(
+    cell: tuple[int, int, int | None]
+) -> tuple[tuple[int, int, int | None], list[tuple[int, int]]]:
+    """(cell, its admissible pairs); the unit of work of both scan paths."""
+    return cell, _scan_cell(cell)
+
+
 def _scan_in_pool(
     cells: Iterator[tuple[int, int, int | None]], processes: int
 ) -> Iterator[tuple[tuple[int, int, int | None], list[tuple[int, int]]]]:
     """(cell, pairs) in cell order, scanned by a pool of `processes` workers.
 
-    Only a window of WINDOW_PER_PROCESS cells per process is in flight, so
-    an unbounded box neither queues all its cells nor runs far ahead of the
-    consumer.  Closing the generator cancels the cells not yet started.
+    The pool reads cells ahead of the consumer only as far as its task pipe
+    holds, so an unbounded box is never queued whole.  Closing the generator
+    terminates the pool, so the workers end as soon as output stops.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Pool  # not at top level: only --workers uses it
 
-    window = WINDOW_PER_PROCESS * processes
-    pool = ProcessPoolExecutor(max_workers=processes)
-    try:
-        pending: deque = deque()
-        for cell in cells:
-            pending.append((cell, pool.submit(_scan_cell, cell)))
-            if len(pending) >= window:
-                done, future = pending.popleft()
-                yield done, future.result()
-        for done, future in pending:
-            yield done, future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with Pool(processes) as pool:
+        yield from pool.imap(_scan_pair, cells)
 
 
 def _stream_hits(query: SearchQuery, processes: int) -> Iterator[Certificate]:
     cells = _cells(query)
     head = list(islice(cells, 2))
     if processes == 1 or len(head) < 2:
-        scanned = ((cell, _scan_cell(cell)) for cell in chain(head, cells))
+        scanned = (_scan_pair(cell) for cell in chain(head, cells))
     else:
         scanned = _scan_in_pool(chain(head, cells), processes)
     try:
@@ -186,8 +175,8 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
     Cells are visited in (h^2, k) order and each yields its pairs in (r, s)
     order, so hits stream out already sorted, identically for any worker
     count.  With workers > 1, at most min(workers, CPUs) processes scan
-    cells ahead of the consumer.  Close the iterator when stopping early:
-    that shuts the pool down.
+    cells ahead of the consumer, only as far as the pool's task pipe holds.
+    Close the iterator when stopping early: that ends the workers at once.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")

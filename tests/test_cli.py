@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import itertools
 import json
 import os
@@ -6,11 +9,17 @@ import sys
 import threading
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from child_env import child_env
+from hypothesis import example, given, settings
 
 from hilbstab import cli
+from hilbstab.certificate import CSV_COLUMNS, ExtRecord, build_certificate
+from hilbstab.certificate import certificate_csv_row, ext_csv_rows
 from hilbstab.cli import main
+from hilbstab.lattice import K3Surface, MukaiVector
+from hilbstab.pfunctor import NegativeExt, ext_dims_on_hilb, ext_dims_on_X
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,6 +202,36 @@ def test_ext_csv(capsys):
     code, out, _ = run_cli(capsys, "ext", "50", "2", "3", "1", "8", "--csv")
     assert code == 0
     assert out == "space,dims\nX,1 4 1\nhilb,1 4 2 4 1\n"
+
+
+@settings(max_examples=200)
+@given(
+    h2=st.one_of(st.integers(1, 600), st.integers(1, 5 * 10**29)).map(lambda n: 2 * n),
+    k=st.integers(1, 6),
+    r=st.integers(1, 20),
+    m=st.integers(-3, 3),
+    ds=st.one_of(st.integers(-3, 3), st.integers(-(10**31), 10**31)),
+    distinct=st.booleans(),
+)
+@example(h2=50, k=2, r=3, m=1, ds=0, distinct=False)  # worked example A
+@example(h2=50, k=1, r=3, m=1, ds=0, distinct=False)  # k = 1: empty Neron-Severi cells
+@example(h2=50, k=2, r=3, m=2, ds=-17, distinct=True)  # m != 1: no product_c1
+@example(h2=50, k=2, r=1, m=1, ds=1, distinct=False)  # empty moduli: no Ext tables
+def test_csv_rows_need_no_quoting(h2, k, r, m, ds, distinct):
+    """The rows `check --csv` and `ext --csv` print hold no cell csv would
+    quote, so joining them with commas gives csv.writer's bytes."""
+    surface = K3Surface(h2)
+    v = MukaiVector(r, m, (m * m * h2 + 2) // (2 * r) + ds)  # v^2 near -2 when ds is small
+    rows = [CSV_COLUMNS, certificate_csv_row(build_certificate(surface, v, k))]
+    with contextlib.suppress(NegativeExt):
+        on_x = ext_dims_on_X(surface, v, v, same_object=not distinct)
+        rows += ext_csv_rows(ExtRecord(surface, k, v, distinct, on_x, ext_dims_on_hilb(on_x, k)))
+    for row in rows:
+        assert row != [""]
+        assert not any(set(cell) & set(',"\r\n') for cell in row), row
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert cli._render_csv(rows) == buf.getvalue()
 
 
 # ---------------------------------------------------------- check vs report

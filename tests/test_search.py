@@ -1,3 +1,5 @@
+import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -25,6 +27,7 @@ from hilbstab.search import (
     SearchQuery,
     _cells,
     _pool_size,
+    _scan_cell,
     enumerate_hits,
     iter_hits,
     search_bounds,
@@ -224,6 +227,55 @@ def test_iter_hits_scans_cells_on_demand(monkeypatch):
     hits.close()
     assert (first.surface.h_squared, first.k, first.v.r, first.v.s) == (4, 2, 1, 3)
     assert scanned == [(4, 2)]
+
+
+# ------------------------------------------------------------- early stop
+
+# A box of 201 cells of about half a second each: the pool has cells in
+# flight whenever the consumer stops, and finishing even one of them takes
+# far longer than ending the workers.
+SLOW_H2 = 40000
+
+
+@pytest.fixture(scope="module")
+def slow_cell_s() -> float:
+    """Seconds one scan of a SLOW_H2 cell takes on this host, as measured."""
+    t0 = perf_counter()
+    _scan_cell((SLOW_H2, 2, None))
+    return perf_counter() - t0
+
+
+def test_closing_the_pooled_stream_ends_the_workers_at_once(slow_cell_s):
+    hits = iter_hits(SearchQuery((SLOW_H2, SLOW_H2 + 400), 2), workers=2)
+    next(hits)
+    t0 = perf_counter()
+    hits.close()
+    close_s = perf_counter() - t0
+    assert close_s < slow_cell_s / 4
+    assert multiprocessing.active_children() == []
+
+
+def test_search_limit_with_workers_exits_once_the_limit_is_written(slow_cell_s):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hilbstab", "search", f"{SLOW_H2}-{SLOW_H2 + 400}", "2",
+         "--workers", "2", "--limit", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(child_env(), PYTHONUNBUFFERED="1"),  # each record reaches the pipe as written
+    )
+    with proc:
+        try:
+            first = proc.stdout.read1()
+            t_first = perf_counter()
+            code = proc.wait(timeout=30)
+            exit_s = perf_counter() - t_first
+        finally:
+            proc.kill()  # a no-op once it has exited
+        out = first + proc.stdout.read()
+        err = proc.stderr.read()
+    assert (code, err) == (0, b"")
+    assert len(json.loads(out)) == 1
+    assert exit_s < slow_cell_s / 4
 
 
 # ------------------------------------------------- per-hit certificate audit

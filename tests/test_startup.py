@@ -3,7 +3,8 @@
 Every `check`, `report` and `ext` call pays for the CLI's imports, so the
 heavy standard-library modules stay off that path: none of the value
 types is a dataclass, `fractions` is imported by the two slope functions
-that need it, and the process pool and the temporary-file module load
+that need it, CSV is written by joining cells that need no quoting, and
+the process pool (`multiprocessing`) and the temporary-file module load
 only when `search --workers` or `--out` uses them.
 """
 
@@ -19,6 +20,8 @@ KEPT_OFF = (
     "decimal",
     "typing",
     "concurrent.futures",
+    "multiprocessing",
+    "csv",
     "tempfile",
 )
 
