@@ -18,6 +18,7 @@ brute-force scan in the test suite.
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import chain, islice
 from math import isqrt
@@ -142,14 +143,30 @@ def _scan_in_pool(
 ) -> Iterator[tuple[tuple[int, int, int | None], list[tuple[int, int]]]]:
     """(cell, pairs) in cell order, scanned by a pool of `processes` workers.
 
-    The pool reads cells ahead of the consumer only as far as its task pipe
-    holds, so an unbounded box is never queued whole.  Closing the generator
-    terminates the pool, so the workers end as soon as output stops.
+    At most eight cells per process are queued, running or done ahead of
+    the consumer, so a stalled writer holds neither the box nor its results
+    in memory.  Closing the generator terminates the pool, so the workers
+    end as soon as output stops.  A worker that dies (killed out of memory,
+    say) raises ChildProcessError instead of waiting for ever.
     """
-    from multiprocessing import Pool  # not at top level: only --workers uses it
+    from multiprocessing import Pool, active_children  # not at top level: only --workers uses it
 
+    others = set(active_children())
     with Pool(processes) as pool:
-        yield from pool.imap(_scan_pair, cells)
+        workers = set(active_children()) - others
+        tasks = (pool.apply_async(_scan_pair, (cell,)) for cell in cells)
+        pending = deque(islice(tasks, 8 * processes))
+        while pending:
+            pending.extend(islice(tasks, 1))
+            task = pending.popleft()
+            while not task.ready():  # a pool never delivers the cell of a worker that died
+                for worker in workers:
+                    if worker.exitcode is not None:
+                        raise ChildProcessError(
+                            f"search worker {worker.pid} died with exit code {worker.exitcode}"
+                        )
+                task.wait(1)
+            yield task.get()
 
 
 def _stream_hits(query: SearchQuery, processes: int) -> Iterator[Certificate]:
@@ -175,8 +192,9 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
     Cells are visited in (h^2, k) order and each yields its pairs in (r, s)
     order, so hits stream out already sorted, identically for any worker
     count.  With workers > 1, at most min(workers, CPUs) processes scan
-    cells ahead of the consumer, only as far as the pool's task pipe holds.
-    Close the iterator when stopping early: that ends the workers at once.
+    cells ahead of the consumer, at most eight cells per process.  Close
+    the iterator when stopping early: that ends the workers at once.  A
+    worker that dies raises ChildProcessError.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")

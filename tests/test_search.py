@@ -1,7 +1,7 @@
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +27,6 @@ from hilbstab.search import (
     SearchQuery,
     _cells,
     _pool_size,
-    _scan_cell,
     enumerate_hits,
     iter_hits,
     search_bounds,
@@ -231,51 +230,112 @@ def test_iter_hits_scans_cells_on_demand(monkeypatch):
 
 # ------------------------------------------------------------- early stop
 
-# A box of 201 cells of about half a second each: the pool has cells in
-# flight whenever the consumer stops, and finishing even one of them takes
-# far longer than ending the workers.
-SLOW_H2 = 40000
+# Each pool test runs a child that rebinds `search._scan_cell` and forks the
+# pool, so the workers run the rebinding.  The first cell, h^2 = 50 with
+# k = 2, is scanned for real and holds hits; every later cell logs a line
+# when it starts and another when it ends, `delay` seconds later, and holds
+# no hit.  The cell h^2 = kill_h2 kills its worker instead.
+POOL_CHILD = """
+import multiprocessing, os, signal, sys, time
+from multiprocessing import active_children
+from hilbstab import cli, search
+from hilbstab.search import SearchQuery, iter_hits
+
+multiprocessing.set_start_method("fork")
+log, delay, kill_h2 = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
+scan = search._scan_cell
+
+def note(line):
+    with open(log, "a") as f:
+        f.write(line + "\\n")
+
+def stub_scan(cell):
+    if cell[0] == 50:
+        return scan(cell)
+    if cell[0] == kill_h2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    note("start")
+    time.sleep(delay)
+    note("end")
+    return []
+
+search._scan_cell = stub_scan
+"""
 
 
-@pytest.fixture(scope="module")
-def slow_cell_s() -> float:
-    """Seconds one scan of a SLOW_H2 cell takes on this host, as measured."""
-    t0 = perf_counter()
-    _scan_cell((SLOW_H2, 2, None))
-    return perf_counter() - t0
-
-
-def test_closing_the_pooled_stream_ends_the_workers_at_once(slow_cell_s):
-    hits = iter_hits(SearchQuery((SLOW_H2, SLOW_H2 + 400), 2), workers=2)
-    next(hits)
-    t0 = perf_counter()
-    hits.close()
-    close_s = perf_counter() - t0
-    assert close_s < slow_cell_s / 4
-    assert multiprocessing.active_children() == []
-
-
-def test_search_limit_with_workers_exits_once_the_limit_is_written(slow_cell_s):
+def _run_pool_child(tmp_path, driver, delay=0.0, kill_h2=0):
+    """Run POOL_CHILD and then `driver` in a child; return its exit code,
+    stdout, stderr and the lines the stub cells logged.  A child still
+    running after 60 s is killed with its workers and fails the test."""
+    log = tmp_path / "cells.log"
+    log.touch()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "hilbstab", "search", f"{SLOW_H2}-{SLOW_H2 + 400}", "2",
-         "--workers", "2", "--limit", "1"],
+        [sys.executable, "-c", POOL_CHILD + driver, str(log), str(delay), str(kill_h2)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(child_env(), PYTHONUNBUFFERED="1"),  # each record reaches the pipe as written
+        env=child_env(),
+        start_new_session=True,
     )
-    with proc:
-        try:
-            first = proc.stdout.read1()
-            t_first = perf_counter()
-            code = proc.wait(timeout=30)
-            exit_s = perf_counter() - t_first
-        finally:
-            proc.kill()  # a no-op once it has exited
-        out = first + proc.stdout.read()
-        err = proc.stderr.read()
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the child hung")
+    return proc.returncode, out, err, log.read_text().split()
+
+
+def test_closing_the_pooled_stream_ends_the_workers_at_once(tmp_path):
+    """close() after the first hit ends the two stub cells already running
+    (5 s each) instead of waiting for them, and leaves no worker."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+hits = iter_hits(SearchQuery((50, 450), 2), workers=2)
+next(hits)
+while open(log).read().count("start") < 2:  # both workers are in a stub cell
+    time.sleep(0.01)
+t0 = time.perf_counter()
+hits.close()
+print(time.perf_counter() - t0, len(active_children()))
+""", delay=5.0)
+    assert (code, err) == (0, b"")
+    close_s, children = out.split()
+    assert lines == ["start", "start"]
+    assert int(children) == 0
+    assert float(close_s) < 5.0
+
+
+def test_search_limit_with_workers_exits_once_the_limit_is_written(tmp_path):
+    """`--limit 1` exits without finishing the stub cells (5 s each) that
+    the pool had started by then."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+sys.exit(cli.main(["search", "50-450", "2", "--workers", "2", "--limit", "1"]))
+""", delay=5.0)
     assert (code, err) == (0, b"")
     assert len(json.loads(out)) == 1
-    assert exit_s < slow_cell_s / 4
+    assert "end" not in lines
+
+
+def test_pool_reads_ahead_a_bounded_window(tmp_path):
+    """A consumer that stops after one hit lets the workers scan at most
+    eight cells per process past it, not the 20,000-cell box."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+hits = iter_hits(SearchQuery((50, 40050), 2), workers=2)
+next(hits)
+time.sleep(0.5)  # time enough for an unbounded pool to scan thousands of cells
+hits.close()
+""")
+    assert (code, err) == (0, b"")
+    assert lines.count("start") <= 8 * 2
+
+
+def test_a_killed_pool_worker_exits_2_with_one_error_line(tmp_path):
+    """A worker killed by SIGKILL loses its cell; search stops with one
+    error line instead of waiting for that cell for ever."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+sys.exit(cli.main(["search", "50-450", "2", "--workers", "2"]))
+""", kill_h2=60)
+    assert code == 2
+    assert re.fullmatch(rb"error: search worker \d+ died with exit code -9\n", err), err
 
 
 # ------------------------------------------------- per-hit certificate audit
