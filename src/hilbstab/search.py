@@ -131,13 +131,6 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _scan_pair(
-    cell: tuple[int, int, int | None]
-) -> tuple[tuple[int, int, int | None], list[tuple[int, int]]]:
-    """(cell, its admissible pairs); the unit of work of both scan paths."""
-    return cell, _scan_cell(cell)
-
-
 def _scan_in_pool(
     cells: Iterator[tuple[int, int, int | None]], processes: int
 ) -> Iterator[tuple[tuple[int, int, int | None], list[tuple[int, int]]]]:
@@ -146,19 +139,18 @@ def _scan_in_pool(
     At most eight cells per process are queued, running or done ahead of
     the consumer, so a stalled writer holds neither the box nor its results
     in memory.  Closing the generator terminates the pool, so the workers
-    end as soon as output stops.  A worker that dies (killed out of memory,
-    say) raises ChildProcessError instead of waiting for ever.
+    end as soon as output stops.  One of the pool's own workers dying (out
+    of memory, say) raises ChildProcessError; no other process is watched.
     """
-    from multiprocessing import Pool, active_children  # not at top level: only --workers uses it
+    from multiprocessing import Pool  # not at top level: only --workers uses it
 
-    others = set(active_children())
     with Pool(processes) as pool:
-        workers = set(active_children()) - others
-        tasks = (pool.apply_async(_scan_pair, (cell,)) for cell in cells)
+        workers = list(pool._pool)  # the processes this pool started
+        tasks = ((cell, pool.apply_async(_scan_cell, (cell,))) for cell in cells)
         pending = deque(islice(tasks, 8 * processes))
         while pending:
             pending.extend(islice(tasks, 1))
-            task = pending.popleft()
+            cell, task = pending.popleft()
             while not task.ready():  # a pool never delivers the cell of a worker that died
                 for worker in workers:
                     if worker.exitcode is not None:
@@ -166,14 +158,14 @@ def _scan_in_pool(
                             f"search worker {worker.pid} died with exit code {worker.exitcode}"
                         )
                 task.wait(1)
-            yield task.get()
+            yield cell, task.get()
 
 
 def _stream_hits(query: SearchQuery, processes: int) -> Iterator[Certificate]:
     cells = _cells(query)
     head = list(islice(cells, 2))
     if processes == 1 or len(head) < 2:
-        scanned = (_scan_pair(cell) for cell in chain(head, cells))
+        scanned = ((cell, _scan_cell(cell)) for cell in chain(head, cells))
     else:
         scanned = _scan_in_pool(chain(head, cells), processes)
     try:
@@ -191,10 +183,10 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
 
     Cells are visited in (h^2, k) order and each yields its pairs in (r, s)
     order, so hits stream out already sorted, identically for any worker
-    count.  With workers > 1, at most min(workers, CPUs) processes scan
-    cells ahead of the consumer, at most eight cells per process.  Close
-    the iterator when stopping early: that ends the workers at once.  A
-    worker that dies raises ChildProcessError.
+    count.  With workers > 1, at most min(workers, CPUs) processes scan at
+    most eight cells each ahead of the consumer.  Closing the iterator ends
+    them at once; one of them dying raises ChildProcessError.  Searches in
+    other threads run their own pools and never stop this one.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")

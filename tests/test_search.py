@@ -21,7 +21,7 @@ from hilbstab.conditions import (
 from hilbstab.hilb import HilbNSClass
 from hilbstab.lattice import K3Surface, MukaiVector, euler_char, mukai_square, require_positive_k
 from hilbstab.pfunctor import tangent_match
-from hilbstab import search
+from hilbstab import cli, search
 from hilbstab.search import (
     InvalidQuery,
     SearchQuery,
@@ -336,6 +336,99 @@ sys.exit(cli.main(["search", "50-450", "2", "--workers", "2"]))
 """, kill_h2=60)
     assert code == 2
     assert re.fullmatch(rb"error: search worker \d+ died with exit code -9\n", err), err
+
+
+def test_a_process_started_beside_the_pool_is_not_taken_for_a_worker(tmp_path, capsys):
+    """A process that another caller starts while the pool starts, and that
+    exits 0 while the stub cells (0.25 s each) run, does not stop the search."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+import multiprocessing.pool
+
+class BystanderPool(multiprocessing.pool.Pool):
+    def __init__(self, *args, **kwargs):
+        multiprocessing.Process(target=time.sleep, args=(0.2,)).start()
+        super().__init__(*args, **kwargs)
+
+multiprocessing.Pool = BystanderPool
+code = cli.main(["search", "50-70", "2", "--workers", "2", "--csv"])
+assert not active_children()
+sys.exit(code)
+""", delay=0.25)
+    assert (code, err) == (0, b"")
+    assert lines.count("end") == 10
+    assert cli.main(["search", "50", "2", "--csv"]) == 0  # the stub cells hold no hit
+    assert out.decode() == capsys.readouterr().out
+
+
+def test_searches_in_two_threads_do_not_stop_each_other(tmp_path):
+    """Two pooled searches started together in one process each watch only
+    their own workers: the one that ends first, terminating its pool, does
+    not stop the other, and both return their one-worker lists."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+import threading
+
+queries = [SearchQuery((50, 60), 2), SearchQuery((50, 70), 2)]  # one ends first
+expected = [search.enumerate_hits(query) for query in queries]
+results = [None, None]
+start = threading.Barrier(2)
+
+def run(i):
+    start.wait()
+    results[i] = search.enumerate_hits(queries[i], workers=2)
+
+threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+assert results == expected
+assert not active_children()
+""", delay=0.02)
+    assert (code, err) == (0, b"")
+
+
+def test_a_worker_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    """MemoryError raised in a pool worker reaches main's exit codes, and
+    the pool's workers are ended."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+def oom_scan(cell):
+    if cell[0] == 60:
+        raise MemoryError
+    return stub_scan(cell)
+
+search._scan_cell = oom_scan
+code = cli.main(["search", "50-450", "2", "--workers", "2", "--csv"])
+assert not active_children()
+sys.exit(code)
+""")
+    assert (code, err) == (2, b"error: out of memory\n")
+
+
+START_METHOD_CHILD = """
+import multiprocessing, sys
+from multiprocessing import active_children
+from hilbstab import cli
+
+multiprocessing.set_start_method(sys.argv[1])
+code = cli.main(["search", "2-120", "2-3", "--csv", "--workers", "2"])
+assert not active_children()
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_every_start_method_prints_the_one_worker_bytes(method, capsys):
+    """The pool's unit of work pickles under every start method, so no
+    method changes a byte; the other pool tests fork."""
+    proc = subprocess.run(
+        [sys.executable, "-c", START_METHOD_CHILD, method],
+        capture_output=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert cli.main(["search", "2-120", "2-3", "--csv"]) == 0
+    assert proc.stdout.decode() == capsys.readouterr().out
 
 
 # ------------------------------------------------- per-hit certificate audit
