@@ -4,7 +4,6 @@ import re
 import signal
 import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -483,37 +482,3 @@ def test_report_flags_independent_of_each_other():
             }
             assert got == admissible
             assert admissible <= all_but_local_freeness
-
-
-def run_survey(*argv: str) -> subprocess.CompletedProcess:
-    root = Path(__file__).resolve().parent.parent
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "survey_hits.py"), *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=30,
-    )
-
-
-def test_survey_script_counts_every_hit():
-    proc = run_survey("--h2-max", "60", "--k-min", "2", "--k-max", "3")
-    assert proc.returncode == 0, proc.stderr
-    total = re.search(r"^total hits: (\d+) over ", proc.stdout, re.MULTILINE)
-    assert int(total.group(1)) == len(enumerate_hits(SearchQuery((2, 60), (2, 3))))
-
-
-@pytest.mark.parametrize("argv", [
-    ["--h2-max", "201"],
-    ["--h2-max", "1"],
-    ["--k-min", "0"],
-    ["--k-min", "3", "--k-max", "2"],
-    ["--workers", "0"],
-])
-def test_survey_script_bad_query_exits_2_with_one_error_line(argv):
-    proc = run_survey(*argv)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("error:") == 1
-    assert proc.stderr.splitlines()[-1].startswith("survey_hits.py: error: ")
