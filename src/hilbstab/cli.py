@@ -99,22 +99,19 @@ def _emit(out: str | None, chunks) -> None:
 
 def _temp_beside(path: str) -> tuple[int, str] | None:
     """(fd, name) of a new file next to path with the mode path has or would
-    get, or None when its directory takes no new file."""
-    import tempfile  # not at top level: it would add to every import of the CLI
-
+    get, or None when its directory takes no new file.  os.open gives a new
+    file 0o666 less the umask, so the umask is never changed and nothing is
+    imported; O_EXCL never follows or reuses a name, O_BINARY keeps newlines."""
+    head, tail = os.path.split(path)
+    name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:
-        fd, name = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-        )
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     except OSError:
         return None
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    os.fchmod(fd, mode)
+        os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+    except FileNotFoundError:  # a new path keeps the mode os.open gave it
+        pass
     return fd, name
 
 

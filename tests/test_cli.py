@@ -284,25 +284,93 @@ def test_out_unwritable_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_out_keeps_mode_of_existing_file(capsys, tmp_path):
+def forbid_umask(monkeypatch):
+    """Fail the test if os.umask is called: the umask belongs to the whole
+    process, so changing it even briefly changes the mode of a file that
+    another thread creates meanwhile."""
+
+    def umask(mask):
+        pytest.fail(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+
+
+def test_out_keeps_mode_of_existing_file(capsys, tmp_path, monkeypatch):
     target = tmp_path / "cert.json"
     target.write_text("old\n", encoding="utf-8")
     target.chmod(0o600)
+    forbid_umask(monkeypatch)
     code, _, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
     assert code == 0
     assert target.stat().st_mode & 0o777 == 0o600
     assert json.loads(target.read_text(encoding="utf-8"))["report"]["admissible"] is True
 
 
-def test_out_new_file_gets_umask_mode(capsys, tmp_path):
+def test_out_new_file_gets_umask_mode(capsys, tmp_path, monkeypatch):
     umask = os.umask(0o022)
     try:
+        forbid_umask(monkeypatch)
         target = tmp_path / "cert.json"
         code, _, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
     finally:
+        monkeypatch.undo()
         os.umask(umask)
     assert code == 0
     assert target.stat().st_mode & 0o777 == 0o644
+
+
+def test_out_leaves_the_umask_of_other_threads_alone(tmp_path):
+    """While one thread writes new files with --out, files that another
+    thread creates with mode 0o666 get 0o666 less the umask, 0o644.
+
+    A race that flips the umask for a moment shows up only now and then,
+    so the writer takes turns with the other thread: before each line of
+    the CLI module it runs, it waits until the other thread has created
+    and checked one file.  The umask is seen between every two lines.
+    """
+    calls, codes, wrong, timed_out = 20, [], [], []
+    turn, done, finished = threading.Semaphore(0), threading.Semaphore(0), threading.Event()
+
+    def step(frame, event, arg):
+        if event == "line":
+            turn.release()
+            if not done.acquire(timeout=2):
+                timed_out.append(frame.f_lineno)
+        return step
+
+    def writer():
+        sys.settrace(lambda frame, event, arg: step if frame.f_globals is vars(cli) else None)
+        try:
+            for i in range(calls):
+                out = str(tmp_path / f"{i}.csv")
+                codes.append(main(["check", "50", "2", "3", "1", "8", "--csv", "--out", out]))
+        finally:
+            sys.settrace(None)
+            finished.set()
+            turn.release()
+
+    def creator():
+        while turn.acquire(timeout=2) and not finished.is_set():
+            probe = tmp_path / "probe"
+            os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            mode = probe.stat().st_mode & 0o777
+            probe.unlink()
+            if mode != 0o644:
+                wrong.append(oct(mode))
+            done.release()
+
+    umask = os.umask(0o022)
+    try:
+        threads = [threading.Thread(target=f, daemon=True) for f in (writer, creator)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        os.umask(umask)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (codes, wrong, timed_out) == ([0] * calls, [], [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{i}.csv" for i in range(calls))
 
 
 def test_out_writes_through_symlink(capsys, tmp_path):

@@ -3,9 +3,10 @@
 Every `check`, `report` and `ext` call pays for the CLI's imports, so the
 heavy standard-library modules stay off that path: none of the value
 types is a dataclass, `fractions` is imported by the two slope functions
-that need it, CSV is written by joining cells that need no quoting, and
-the process pool (`multiprocessing`) and the temporary-file module load
-only when `search --workers` or `--out` uses them.
+that need it, CSV is written by joining cells that need no quoting, the
+process pool (`multiprocessing`) loads only when `search --workers` uses
+it, and `--out` creates its temporary file with `os.open`, so `tempfile`
+never loads at all; it stays in KEPT_OFF so that it does not come back.
 """
 
 import subprocess
