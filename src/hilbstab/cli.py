@@ -99,19 +99,21 @@ def _emit(out: str | None, chunks) -> None:
 
 def _temp_beside(path: str) -> tuple[int, str] | None:
     """(fd, name) of a new file next to path with the mode path has or would
-    get, or None when its directory takes no new file.  os.open gives a new
-    file 0o666 less the umask, so the umask is never changed and nothing is
-    imported; O_EXCL never follows or reuses a name, O_BINARY keeps newlines."""
+    get, or None when its directory takes no new file.  It is made 0o600 beside an
+    existing path, never wider than that file, else 0o666 less the (unchanged) umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     head, tail = os.path.split(path)
     name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
-    try:
-        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:  # O_EXCL never follows or reuses a name; O_BINARY keeps newlines
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                     0o666 if mode is None else 0o600)
     except OSError:
         return None
-    try:
-        os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
-    except FileNotFoundError:  # a new path keeps the mode os.open gave it
-        pass
+    if mode is not None:
+        os.fchmod(fd, mode)
     return fd, name
 
 

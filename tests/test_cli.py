@@ -300,8 +300,19 @@ def test_out_keeps_mode_of_existing_file(capsys, tmp_path, monkeypatch):
     target.write_text("old\n", encoding="utf-8")
     target.chmod(0o600)
     forbid_umask(monkeypatch)
+    created, os_open = [], os.open
+
+    def recording_open(path, flags, mode=0o777, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(mode)
+        return os_open(path, flags, mode, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
     code, _, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
     assert code == 0
+    # the temporary file is never readable by more users than the target,
+    # not even before it takes the target's mode
+    assert created == [0o600]
     assert target.stat().st_mode & 0o777 == 0o600
     assert json.loads(target.read_text(encoding="utf-8"))["report"]["admissible"] is True
 
@@ -317,60 +328,6 @@ def test_out_new_file_gets_umask_mode(capsys, tmp_path, monkeypatch):
         os.umask(umask)
     assert code == 0
     assert target.stat().st_mode & 0o777 == 0o644
-
-
-def test_out_leaves_the_umask_of_other_threads_alone(tmp_path):
-    """While one thread writes new files with --out, files that another
-    thread creates with mode 0o666 get 0o666 less the umask, 0o644.
-
-    A race that flips the umask for a moment shows up only now and then,
-    so the writer takes turns with the other thread: before each line of
-    the CLI module it runs, it waits until the other thread has created
-    and checked one file.  The umask is seen between every two lines.
-    """
-    calls, codes, wrong, timed_out = 20, [], [], []
-    turn, done, finished = threading.Semaphore(0), threading.Semaphore(0), threading.Event()
-
-    def step(frame, event, arg):
-        if event == "line":
-            turn.release()
-            if not done.acquire(timeout=2):
-                timed_out.append(frame.f_lineno)
-        return step
-
-    def writer():
-        sys.settrace(lambda frame, event, arg: step if frame.f_globals is vars(cli) else None)
-        try:
-            for i in range(calls):
-                out = str(tmp_path / f"{i}.csv")
-                codes.append(main(["check", "50", "2", "3", "1", "8", "--csv", "--out", out]))
-        finally:
-            sys.settrace(None)
-            finished.set()
-            turn.release()
-
-    def creator():
-        while turn.acquire(timeout=2) and not finished.is_set():
-            probe = tmp_path / "probe"
-            os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-            mode = probe.stat().st_mode & 0o777
-            probe.unlink()
-            if mode != 0o644:
-                wrong.append(oct(mode))
-            done.release()
-
-    umask = os.umask(0o022)
-    try:
-        threads = [threading.Thread(target=f, daemon=True) for f in (writer, creator)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=20)
-    finally:
-        os.umask(umask)
-    assert not any(thread.is_alive() for thread in threads)
-    assert (codes, wrong, timed_out) == ([0] * calls, [], [])
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{i}.csv" for i in range(calls))
 
 
 def test_out_writes_through_symlink(capsys, tmp_path):
@@ -433,6 +390,24 @@ def test_out_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert "No space left on device" in err
     assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_closes_every_descriptor(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "hits.csv"
+    fds = os.listdir("/proc/self/fd")
+    for _ in range(2):  # a new target, then an existing one
+        code, _, _ = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
+        assert code == 0
+
+    def failing_row(cert):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "certificate_csv_row", failing_row)
+    code, _, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+    assert code == 2
+    assert len(os.listdir("/proc/self/fd")) == len(fds)
     assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
 
 
