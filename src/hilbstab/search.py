@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from collections.abc import Callable, Iterator
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from math import isqrt
 
 from .certificate import Certificate, build_certificate
@@ -131,34 +131,89 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def _scan_share(conn, callers_ends) -> None:
+    """Worker loop: answer each cell received on `conn` with its pairs, or
+    with the exception that stopped its scan, until the caller closes its
+    end of the pipe or dies.
+
+    A forked worker starts with copies of the caller's ends of its own and
+    earlier workers' pipes, `callers_ends`; they are closed first, or no
+    worker would see its caller go.  _scan_cell is looked up in this
+    module's globals on every cell, so a rebinding made before the worker
+    forked reaches it."""
+    for end in callers_ends:
+        end.close()
+    try:
+        while True:
+            cell = conn.recv()
+            try:
+                reply = _scan_cell(cell)
+            except Exception as exc:  # MemoryError among them: the caller raises it
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError):  # the caller closed its end or died
+        pass
+
+
+def _died(worker) -> ChildProcessError:
+    worker.join()  # its end of the pipe is closed, so it has exited
+    return ChildProcessError(f"search worker {worker.pid} died with exit code {worker.exitcode}")
+
+
+def _answer(cell, worker, conn):
+    """(cell, pairs) read back from the worker the cell was sent to."""
+    try:
+        reply = conn.recv()
+    except (EOFError, OSError):  # the end of the pipe, a reset or a message cut short
+        raise _died(worker) from None
+    if isinstance(reply, Exception):
+        raise reply
+    return cell, reply
+
+
 def _scan_in_pool(
     cells: Iterator[tuple[int, int, int | None]], processes: int
 ) -> Iterator[tuple[tuple[int, int, int | None], list[tuple[int, int]]]]:
-    """(cell, pairs) in cell order, scanned by a pool of `processes` workers.
+    """(cell, pairs) in cell order, scanned by `processes` worker processes.
 
-    At most eight cells per process are queued, running or done ahead of
-    the consumer, so a stalled writer holds neither the box nor its results
-    in memory.  Closing the generator terminates the pool, so the workers
-    end as soon as output stops.  One of the pool's own workers dying (out
-    of memory, say) raises ChildProcessError; no other process is watched.
+    Each worker owns a private pipe; cells go to the workers in turn and
+    each cell's pairs are read back from the worker it went to.  At most
+    eight cells per process are queued, running or done ahead of the
+    consumer, so a stalled writer holds neither the box nor its results in
+    memory.  Closing the generator kills and joins the workers, so they end
+    as soon as output stops; they share no lock with anyone, so nothing can
+    wait on one that was killed.  A worker that dies (out of memory, say)
+    shows as the end of its own pipe and raises ChildProcessError; no other
+    process is watched.
     """
-    from multiprocessing import Pool  # not at top level: only --workers uses it
+    from multiprocessing import Pipe, Process  # not at top level: only --workers uses it
 
-    with Pool(processes) as pool:
-        workers = list(pool._pool)  # the processes this pool started
-        tasks = ((cell, pool.apply_async(_scan_cell, (cell,))) for cell in cells)
-        pending = deque(islice(tasks, 8 * processes))
+    workers, conns = [], []
+    try:
+        for _ in range(processes):
+            conn, worker_conn = Pipe()
+            conns.append(conn)
+            worker = Process(target=_scan_share, args=(worker_conn, conns), daemon=True)
+            worker.start()
+            worker_conn.close()
+            workers.append((worker, conn))
+        pending = deque()  # (cell, worker, conn) sent and not yet read back, in cell order
+        for cell, (worker, conn) in zip(cells, cycle(workers)):
+            try:
+                conn.send(cell)
+            except OSError:  # a broken pipe or a reset: the worker is gone
+                raise _died(worker) from None
+            pending.append((cell, worker, conn))
+            if len(pending) > 8 * processes:
+                yield _answer(*pending.popleft())
         while pending:
-            pending.extend(islice(tasks, 1))
-            cell, task = pending.popleft()
-            while not task.ready():  # a pool never delivers the cell of a worker that died
-                for worker in workers:
-                    if worker.exitcode is not None:
-                        raise ChildProcessError(
-                            f"search worker {worker.pid} died with exit code {worker.exitcode}"
-                        )
-                task.wait(1)
-            yield cell, task.get()
+            yield _answer(*pending.popleft())
+    finally:
+        for worker, conn in workers:
+            worker.kill()
+            conn.close()
+        for worker, _ in workers:
+            worker.join()
 
 
 def _stream_hits(query: SearchQuery, processes: int) -> Iterator[Certificate]:
@@ -183,10 +238,11 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
 
     Cells are visited in (h^2, k) order and each yields its pairs in (r, s)
     order, so hits stream out already sorted, identically for any worker
-    count.  With workers > 1, at most min(workers, CPUs) processes scan at
-    most eight cells each ahead of the consumer.  Closing the iterator ends
-    them at once; one of them dying raises ChildProcessError.  Searches in
-    other threads run their own pools and never stop this one.
+    count.  With workers > 1, at most min(workers, CPUs) processes, each
+    fed through a private pipe, scan at most eight cells each ahead of the
+    consumer.  Closing the iterator kills them at once; one of them dying
+    raises ChildProcessError.  Searches in other threads start their own
+    workers and never stop this one.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")

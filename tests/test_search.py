@@ -229,11 +229,11 @@ def test_iter_hits_scans_cells_on_demand(monkeypatch):
 
 # ------------------------------------------------------------- early stop
 
-# Each pool test runs a child that rebinds `search._scan_cell` and forks the
-# pool, so the workers run the rebinding.  The first cell, h^2 = 50 with
-# k = 2, is scanned for real and holds hits; every later cell logs a line
-# when it starts and another when it ends, `delay` seconds later, and holds
-# no hit.  The cell h^2 = kill_h2 kills its worker instead.
+# Each pool test runs a child that rebinds `search._scan_cell` and then
+# forks the search's workers, so they run the rebinding.  The first cell,
+# h^2 = 50 with k = 2, is scanned for real and holds hits; every later cell
+# logs a line when it starts and another when it ends, `delay` seconds
+# later, and holds no hit.  The cell h^2 = kill_h2 kills its worker instead.
 POOL_CHILD = """
 import multiprocessing, os, signal, sys, time
 from multiprocessing import active_children
@@ -337,20 +337,77 @@ sys.exit(cli.main(["search", "50-450", "2", "--workers", "2"]))
     assert re.fullmatch(rb"error: search worker \d+ died with exit code -9\n", err), err
 
 
-def test_a_process_started_beside_the_pool_is_not_taken_for_a_worker(tmp_path, capsys):
-    """A process that another caller starts while the pool starts, and that
-    exits 0 while the stub cells (0.25 s each) run, does not stop the search."""
+def test_a_worker_killed_while_it_writes_ends_the_stream_at_once(tmp_path):
+    """The cell h^2 = 60 returns 500,000 pairs, so its worker blocks writing
+    them to its pipe.  Killing the workers in that state makes the stream
+    raise ChildProcessError at once and leaves no worker; closing the
+    stream in that state returns at once and leaves no worker either."""
     code, out, err, lines = _run_pool_child(tmp_path, """
-import multiprocessing.pool
+def big_scan(cell):
+    if cell[0] == 60:
+        note("big")
+        return [(1, s) for s in range(500_000)]
+    return stub_scan(cell)
 
-class BystanderPool(multiprocessing.pool.Pool):
-    def __init__(self, *args, **kwargs):
-        multiprocessing.Process(target=time.sleep, args=(0.2,)).start()
-        super().__init__(*args, **kwargs)
+search._scan_cell = big_scan
 
-multiprocessing.Pool = BystanderPool
+def blocked_stream(n):
+    hits = iter_hits(SearchQuery((50, 450), 2), workers=2)
+    next(hits)
+    while open(log).read().count("big") < n:
+        time.sleep(0.01)
+    time.sleep(0.5)  # time enough to fill the pipe with the big cell's pairs
+    return hits
+
+hits = blocked_stream(1)
+for child in active_children():
+    os.kill(child.pid, signal.SIGKILL)
+t0 = time.perf_counter()
+try:
+    for hit in hits:
+        pass
+except ChildProcessError as exc:
+    print(time.perf_counter() - t0, len(active_children()), exc, sep="|")
+
+hits = blocked_stream(2)
+t0 = time.perf_counter()
+hits.close()
+print(time.perf_counter() - t0, len(active_children()), sep="|")
+""")
+    assert (code, err) == (0, b"")
+    raised, closed = out.decode().splitlines()
+    raise_s, children, message = raised.split("|")
+    assert float(raise_s) < 1.0
+    assert int(children) == 0
+    assert re.fullmatch(r"search worker \d+ died with exit code -9", message), message
+    close_s, children = closed.split("|")
+    assert float(close_s) < 1.0
+    assert int(children) == 0
+
+
+def test_workers_end_when_their_caller_is_killed(tmp_path):
+    """A caller killed mid-stream leaves no worker behind: each ends once
+    the stub cell (0.5 s) it is scanning ends.  The workers share the
+    child's stdout and stderr, so the child is not done until they are."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+hits = iter_hits(SearchQuery((50, 450), 2), workers=2)
+next(hits)
+while open(log).read().count("start") < 2:  # both workers are in a stub cell
+    time.sleep(0.01)
+os.kill(os.getpid(), signal.SIGKILL)
+""", delay=0.5)
+    assert (code, out, err) == (-signal.SIGKILL, b"", b"")
+    assert lines == ["start", "start", "end", "end"]
+
+
+def test_a_process_started_beside_the_pool_is_not_taken_for_a_worker(tmp_path, capsys):
+    """A process that another caller starts right before the search, and
+    that exits 0 while the stub cells (0.25 s each) run, does not stop it."""
+    code, out, err, lines = _run_pool_child(tmp_path, """
+bystander = multiprocessing.Process(target=time.sleep, args=(0.2,))
+bystander.start()
 code = cli.main(["search", "50-70", "2", "--workers", "2", "--csv"])
-assert not active_children()
+assert (bystander.exitcode, active_children()) == (0, [])
 sys.exit(code)
 """, delay=0.25)
     assert (code, err) == (0, b"")
@@ -361,7 +418,7 @@ sys.exit(code)
 
 def test_searches_in_two_threads_do_not_stop_each_other(tmp_path):
     """Two pooled searches started together in one process each watch only
-    their own workers: the one that ends first, terminating its pool, does
+    their own workers: the one that ends first, killing its workers, does
     not stop the other, and both return their one-worker lists."""
     code, out, err, lines = _run_pool_child(tmp_path, """
 import threading
@@ -387,8 +444,8 @@ assert not active_children()
 
 
 def test_a_worker_out_of_memory_exits_2_with_one_error_line(tmp_path):
-    """MemoryError raised in a pool worker reaches main's exit codes, and
-    the pool's workers are ended."""
+    """MemoryError raised in a worker reaches main's exit codes, and the
+    search's workers are ended."""
     code, out, err, lines = _run_pool_child(tmp_path, """
 def oom_scan(cell):
     if cell[0] == 60:
