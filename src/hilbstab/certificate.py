@@ -48,21 +48,11 @@ class Certificate(Value):
         ext_on_X: GradedDims | None, ext_on_hilb: GradedDims | None,
         extension_euler_formula: int, extension_euler_direct: int, notes: tuple[str, ...],
     ) -> None:
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "image_rank", image_rank)
-        object.__setattr__(self, "image_c1", image_c1)
-        object.__setattr__(self, "taut_rank", taut_rank)
-        object.__setattr__(self, "taut_c1", taut_c1)
-        object.__setattr__(self, "product_c1_a", product_c1_a)
-        object.__setattr__(self, "moduli_dim", moduli_dim)
-        object.__setattr__(self, "ext_on_X", ext_on_X)
-        object.__setattr__(self, "ext_on_hilb", ext_on_hilb)
-        object.__setattr__(self, "extension_euler_formula", extension_euler_formula)
-        object.__setattr__(self, "extension_euler_direct", extension_euler_direct)
-        object.__setattr__(self, "notes", notes)
+        self._set(
+            surface, k, v, report, image_rank, image_c1, taut_rank, taut_c1, product_c1_a,
+            moduli_dim, ext_on_X, ext_on_hilb, extension_euler_formula, extension_euler_direct,
+            notes,
+        )
 
 
 def build_certificate(surface: K3Surface, v: MukaiVector, k: int) -> Certificate:

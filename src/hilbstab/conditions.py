@@ -50,17 +50,10 @@ class AdmissibilityReport(Value):
         ineq_ok: bool, locally_free_ok: bool, fine_ok: bool,
         gcd_triple: tuple[int, int, int], gcd_value: int, primitive_ok: bool,
     ) -> None:
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "v_sq", v_sq)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "nonempty_ok", nonempty_ok)
-        object.__setattr__(self, "ineq_ok", ineq_ok)
-        object.__setattr__(self, "locally_free_ok", locally_free_ok)
-        object.__setattr__(self, "fine_ok", fine_ok)
-        object.__setattr__(self, "gcd_triple", gcd_triple)
-        object.__setattr__(self, "gcd_value", gcd_value)
-        object.__setattr__(self, "primitive_ok", primitive_ok)
+        self._set(
+            chi, v_sq, threshold, margin, nonempty_ok, ineq_ok, locally_free_ok, fine_ok,
+            gcd_triple, gcd_value, primitive_ok,
+        )
 
     @property
     def admissible(self) -> bool:

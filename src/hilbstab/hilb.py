@@ -24,8 +24,7 @@ class HilbNSClass(Value):
     """Class a*h_k + b*delta in NS(X^[k])."""
 
     def __init__(self, a: int, b: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set(a, b)
 
     def __add__(self, other: "HilbNSClass") -> "HilbNSClass":
         return HilbNSClass(self.a + other.a, self.b + other.b)
@@ -41,7 +40,7 @@ class ProductClass(Value):
     """Class a * (sum_i q_i^* h) on the product X^k."""
 
     def __init__(self, a: int) -> None:
-        object.__setattr__(self, "a", a)
+        self._set(a)
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
         return ProductClass(self.a + other.a)

@@ -14,7 +14,8 @@ from operator import attrgetter
 class Value:
     """Immutable record whose fields are its constructor's parameters, in order.
 
-    Each subclass's __init__ sets every field once with object.__setattr__.
+    Each subclass's __init__ checks its arguments and then stores every
+    field with one _set call, the only place that writes a field.
     Instances compare equal only to instances of the same class with equal
     fields, hash as the tuple of their fields, print as
     `Name(field=value, ...)` and refuse assignment and deletion.
@@ -26,6 +27,10 @@ class Value:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values: object) -> None:
+        """Store values as the fields, in the order of _fields."""
+        self.__dict__.update(zip(self._fields, values))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -56,7 +61,7 @@ class K3Surface(Value):
             raise ValueError(
                 f"h_squared must be a positive even integer, got {h_squared}"
             )
-        object.__setattr__(self, "h_squared", h_squared)
+        self._set(h_squared)
 
 
 class MukaiVector(Value):
@@ -68,12 +73,10 @@ class MukaiVector(Value):
     """
 
     def __init__(self, r: int, m: int, s: int) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        for name in ("r", "m", "s"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"MukaiVector component {name} must be an integer")
+        if not (isinstance(r, int) and isinstance(m, int) and isinstance(s, int)):
+            name = next(n for n, x in zip(self._fields, (r, m, s)) if not isinstance(x, int))
+            raise ValueError(f"MukaiVector component {name} must be an integer")
+        self._set(r, m, s)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.m + other.m, self.s + other.s)

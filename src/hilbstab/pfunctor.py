@@ -47,7 +47,7 @@ class GradedDims(Value):
         end = len(dims)
         while end and dims[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "dims", dims[:end])
+        self._set(dims[:end])
 
     def __getitem__(self, degree: int) -> int:
         if degree < 0:

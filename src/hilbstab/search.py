@@ -63,11 +63,12 @@ class SearchQuery(Value):
             require_positive_k(k_lo)
         except ValueError as exc:
             raise InvalidQuery(str(exc)) from exc
-        if r_max is not None and r_max < 1:
-            raise InvalidQuery(f"r_max override must be positive, got {r_max}")
-        object.__setattr__(self, "h_squared", h_squared)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "r_max", r_max)
+        if r_max is not None:
+            if not isinstance(r_max, int):
+                raise InvalidQuery(f"r_max override must be an integer, got {r_max!r}")
+            if r_max < 1:
+                raise InvalidQuery(f"r_max override must be positive, got {r_max}")
+        self._set(h_squared, k, r_max)
 
 
 def search_bounds(

@@ -5,6 +5,10 @@ no float or complex literal, no true division (`/` or `/=`; `//` is
 floor division and stays), no `float(` call, and no `math.sqrt`,
 `math.log` or `math.pow`, whether reached as an attribute or through
 `from math import`.  `math.isqrt` stays: it is exact.
+
+Two guards of the value types sit beside it: every `Value` subclass is
+covered by the contract tests in `tests/test_values.py`, and no module
+stores a field behind `Value._set`'s back with `object.__setattr__`.
 """
 
 import ast
@@ -13,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import hilbstab
+from hilbstab.lattice import Value
+from test_values import CASES
 
 SOURCES = sorted(Path(hilbstab.__file__).resolve().parent.glob("*.py"))
 INEXACT_MATH = {"sqrt", "log", "pow"}
@@ -72,3 +78,28 @@ def test_the_guard_sees_every_inexact_construct():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_source_is_exact(path):
     assert inexact_nodes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _subclasses(cls: type) -> set[type]:
+    direct = set(cls.__subclasses__())
+    return direct.union(*(_subclasses(sub) for sub in direct))
+
+
+def test_every_value_type_has_contract_cases():
+    package = {cls for cls in _subclasses(Value) if cls.__module__.startswith("hilbstab.")}
+    covered = {case[0] for case in CASES}
+    assert package, "no Value subclass found"
+    assert sorted(cls.__qualname__ for cls in package - covered) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_source_stores_fields_only_through_value_set(path):
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+        and node.attr == "__setattr__"
+    ]
+    assert calls == []

@@ -143,6 +143,10 @@ def test_invalid_queries():
         SearchQuery(0, 2)
     with pytest.raises(InvalidQuery):
         SearchQuery(50, 2, r_max=0)
+    with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
+        SearchQuery(50, 2, r_max=2.5)
+    with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
+        SearchQuery(50, 2, r_max="3")
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,18 @@ def test_exact_reprs():
     )
 
 
+@pytest.mark.parametrize(
+    "cls,fields", [(AdmissibilityReport, REPORT_FIELDS), (Certificate, CERT_FIELDS)],
+    ids=["AdmissibilityReport", "Certificate"],
+)
+def test_each_field_reads_back_its_own_argument(cls, fields):
+    # pairwise-distinct values, so two fields stored in each other's place show
+    values = tuple(object() for _ in fields)
+    for built in (cls(*values), cls(**dict(zip(fields, values)))):
+        for field, value in zip(fields, values):
+            assert getattr(built, field) is value, field
+
+
 def test_report_admissible_is_derived_not_a_field():
     assert REPORT.admissible is True
     assert "admissible=" not in repr(REPORT)
@@ -173,6 +185,15 @@ def test_k3_surface_rejects_non_integers(bad):
 @pytest.mark.parametrize("args", [(3.0, 1, 8), (3, "1", 8), (3, 1, None)])
 def test_mukai_vector_rejects_non_integer_components(args):
     with pytest.raises(ValueError, match="must be an integer"):
+        MukaiVector(*args)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [((3.0, 1, 8), "r"), ((3, "1", 8), "m"), ((3, 1, None), "s"), ((None, None, None), "r")],
+)
+def test_mukai_vector_error_names_the_first_bad_component(args, name):
+    with pytest.raises(ValueError, match=f"^MukaiVector component {name} must be an integer$"):
         MukaiVector(*args)
 
 
