@@ -3,9 +3,10 @@
 Exit codes: 0 on success (and on admissible with --strict), 1 on a
 semantic negative (--strict with a non-admissible candidate, or an Ext
 table that cannot exist), 2 on malformed input or an environment failure
-(an unwritable --out, a full or closed stdout, a reader that closed the
-pipe, or running out of memory).  A closed or full stderr loses only the
-error message, never the exit code.  Output goes to stdout or to --out;
+(an --out that cannot be written, which leaves a regular target as it
+was, a full or closed stdout, a reader that closed the pipe, or running
+out of memory).  A closed or full stderr loses only the error message,
+never the exit code.  Output goes to stdout or to --out;
 JSON is the default format, --csv selects the flat projection.  Search
 output is written record by record as hits are found.
 """
@@ -68,53 +69,46 @@ def _json_list(values):
 
 
 def _emit(out: str | None, chunks) -> None:
-    """Write the text chunks to stdout, or to a file that replaces out.
+    """Write the text chunks to stdout and flush it, or to a file that replaces out.
 
     The chunks may be produced lazily, so output streams as it is made.
-    A regular (or new) file is written beside its resolved path and moved
-    onto it only once every chunk is written, so a failure never leaves a
-    truncated output behind; a symlink is written through and the file
-    keeps its mode.  Anything else (a device, a FIFO), or a target whose
-    directory takes no new file, is written in place.
-    """
+    A regular (or new) file is written to `.hilbstab.<16 hex>.tmp` beside
+    its resolved path and moved onto it only once every chunk is written, so
+    a failure never leaves a truncated output behind; a symlink is written
+    through and the file keeps its mode.  Where no file can be made beside
+    it, the OSError names out.  Anything else (a device, a FIFO) is written
+    in place."""
     if out is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
         return
     real = os.path.realpath(out)
-    tmp = _temp_beside(real) if not os.path.exists(real) or os.path.isfile(real) else None
-    if tmp is None:
+    try:
+        mode = os.stat(real).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
-    try:
-        with os.fdopen(tmp[0], "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp[1], real)
-    except BaseException:
-        os.unlink(tmp[1])
-        raise
-
-
-def _temp_beside(path: str) -> tuple[int, str] | None:
-    """(fd, name) of a new file next to path with the mode path has or would
-    get, or None when its directory takes no new file.  It is made 0o600 beside an
-    existing path, never wider than that file, else 0o666 less the (unchanged) umask."""
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        mode = None
-    head, tail = os.path.split(path)
-    name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
-    try:  # O_EXCL never follows or reuses a name; O_BINARY keeps newlines
-        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+    tmp = os.path.join(os.path.dirname(real), f".hilbstab.{os.urandom(8).hex()}.tmp")
+    try:  # O_EXCL never follows or reuses a name; O_BINARY keeps newlines; 0o600
+        # is never wider than an existing target, not even before the fchmod
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
                      0o666 if mode is None else 0o600)
-    except OSError:
-        return None
-    if mode is not None:
-        os.fchmod(fd, mode)
-    return fd, name
+    except OSError as exc:  # a read-only directory, a full disk: name the target
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _candidate(args: argparse.Namespace) -> tuple[K3Surface, MukaiVector]:
@@ -264,8 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             code = exc.code if isinstance(exc.code, int) else 2
         else:
             code = args.func(args)
-        if sys.stdout is not None:
-            sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone (say `| head`): exit quietly
         code = 2
     except (ValueError, OSError, MemoryError) as exc:  # NegativeExt: an Ext table that cannot exist

@@ -58,6 +58,7 @@ class DestabilizerCase(Enum):
 
 
 def _require_rank_two_ns(k: int) -> None:
+    require_positive_k(k)
     if k < 2:
         raise ValueError(
             f"NS(X^[k]) has rank 2 only for k >= 2, got k={k}"

@@ -55,7 +55,7 @@ class K3Surface(Value):
     """A K3 surface X with NS(X) = Z*h, carried by the even integer h^2 >= 2."""
 
     def __init__(self, h_squared: int) -> None:
-        if not isinstance(h_squared, int):
+        if type(h_squared) is not int:
             raise ValueError("h_squared must be an integer")
         if h_squared < 2 or h_squared % 2 != 0:
             raise ValueError(
@@ -73,8 +73,8 @@ class MukaiVector(Value):
     """
 
     def __init__(self, r: int, m: int, s: int) -> None:
-        if not (isinstance(r, int) and isinstance(m, int) and isinstance(s, int)):
-            name = next(n for n, x in zip(self._fields, (r, m, s)) if not isinstance(x, int))
+        if not (type(r) is int and type(m) is int and type(s) is int):  # no bool
+            name = next(n for n, x in zip(self._fields, (r, m, s)) if type(x) is not int)
             raise ValueError(f"MukaiVector component {name} must be an integer")
         self._set(r, m, s)
 
@@ -105,8 +105,9 @@ def require_positive_rank(v: MukaiVector) -> None:
 
 
 def require_positive_k(k: int) -> None:
-    """Raise ValueError unless k >= 1 counts points of a Hilbert scheme."""
-    if k < 1:
+    """Raise ValueError unless k is an int >= 1 (no float, no bool), a count of
+    points of a Hilbert scheme."""
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 

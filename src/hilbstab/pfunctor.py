@@ -42,7 +42,7 @@ class GradedDims(Value):
     def __init__(self, dims: Iterable[int]) -> None:
         dims = tuple(dims)
         for d in dims:
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:
                 raise ValueError(f"graded dimensions must be non-negative integers, got {d!r}")
         end = len(dims)
         while end and dims[end - 1] == 0:

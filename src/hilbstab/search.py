@@ -37,7 +37,7 @@ def _as_range(value: int | tuple[int, int]) -> tuple[int, int]:
         lo, hi = value
     else:
         lo = hi = value
-    if not isinstance(lo, int) or not isinstance(hi, int):
+    if type(lo) is not int or type(hi) is not int:
         raise InvalidQuery(f"range endpoints must be integers, got {value!r}")
     if lo > hi:
         raise InvalidQuery(f"empty range {lo}-{hi}")
@@ -64,7 +64,7 @@ class SearchQuery(Value):
         except ValueError as exc:
             raise InvalidQuery(str(exc)) from exc
         if r_max is not None:
-            if not isinstance(r_max, int):
+            if type(r_max) is not int:
                 raise InvalidQuery(f"r_max override must be an integer, got {r_max!r}")
             if r_max < 1:
                 raise InvalidQuery(f"r_max override must be positive, got {r_max}")
@@ -245,8 +245,8 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
     raises ChildProcessError.  Searches in other threads start their own
     workers and never stop this one.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     return _stream_hits(query, _pool_size(workers))
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -409,6 +410,102 @@ def test_out_closes_every_descriptor(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert len(os.listdir("/proc/self/fd")) == len(fds)
     assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
+
+
+# a name 22 characters short of the 255 most file systems allow: too long
+# for a temporary name built from it, so it needs a fixed-length one
+LONG_NAME = "hits" + "_" * 232 + ".csv"
+
+
+def fail_on_fourth_row(monkeypatch):
+    row = cli.certificate_csv_row
+    calls = itertools.count()
+
+    def failing_row(cert):
+        if next(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return row(cert)
+
+    monkeypatch.setattr(cli, "certificate_csv_row", failing_row)
+
+
+def test_out_long_name_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / LONG_NAME
+    target.write_text("old\n", encoding="utf-8")
+    fail_on_fourth_row(monkeypatch)
+    code, out, err = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+    assert code == 2 and out == ""
+    assert "No space left on device" in err
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [LONG_NAME]
+
+
+def test_out_long_name_is_replaced_whole(capsys, tmp_path):
+    _, stdout_text, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv")
+    target = tmp_path / LONG_NAME
+    target.write_text("old\n", encoding="utf-8")
+    with open(target, encoding="utf-8") as old:  # the replaced file, still open
+        code, out, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+        assert old.read() == "old\n"
+    assert code == 0 and out == ""
+    assert target.read_text(encoding="utf-8") == stdout_text
+    assert [p.name for p in tmp_path.iterdir()] == [LONG_NAME]
+
+
+def assert_untouched(code, out, err, target, tmp_path):
+    """Exit 2 with an error naming target, which still holds "old\n" alone."""
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+@pytest.mark.parametrize("number", [errno.ENOSPC, errno.EACCES], ids=["ENOSPC", "EACCES"])
+def test_out_no_temporary_file_leaves_target_untouched(capsys, tmp_path, monkeypatch, number):
+    target = tmp_path / "hits.csv"
+    target.write_text("old\n", encoding="utf-8")
+    os_open = os.open
+
+    def refusing_open(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            raise OSError(number, os.strerror(number), path)
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing_open)
+    code, out, err = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+    assert_untouched(code, out, err, target, tmp_path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_failed_fchmod_leaves_no_file_or_descriptor(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "cert.json"
+    target.write_text("old\n", encoding="utf-8")
+    fds = os.listdir("/proc/self/fd")
+
+    def fchmod(fd, mode):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "fchmod", fchmod)
+    code, _, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(target))
+    assert code == 2 and "Operation not permitted" in err
+    assert len(os.listdir("/proc/self/fd")) == len(fds)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0,
+    reason="root may create files in a read-only directory",
+)
+def test_out_read_only_directory_leaves_target_untouched(capsys, tmp_path):
+    target = tmp_path / "hits.csv"
+    target.write_text("old\n", encoding="utf-8")
+    tmp_path.chmod(0o555)
+    try:
+        code, out, err = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
+    finally:
+        tmp_path.chmod(0o755)
+    assert_untouched(code, out, err, target, tmp_path)
 
 
 # ------------------------------------------------------- streaming, processes

@@ -8,16 +8,23 @@ floor division and stays), no `float(` call, and no `math.sqrt`,
 
 Two guards of the value types sit beside it: every `Value` subclass is
 covered by the contract tests in `tests/test_values.py`, and no module
-stores a field behind `Value._set`'s back with `object.__setattr__`.
+stores a field behind `Value._set`'s back with `object.__setattr__`.  A
+last guard checks the inputs: every public function that takes the
+number of points k refuses a float or a bool for it.
 """
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import hilbstab
-from hilbstab.lattice import Value
+from hilbstab.hilb import ProductClass
+from hilbstab.lattice import K3Surface, MukaiVector, Value
+from hilbstab.pfunctor import GradedDims
 from test_values import CASES
 
 SOURCES = sorted(Path(hilbstab.__file__).resolve().parent.glob("*.py"))
@@ -103,3 +110,33 @@ def test_package_source_stores_fields_only_through_value_set(path):
         and node.attr == "__setattr__"
     ]
     assert calls == []
+
+
+# an argument for every parameter besides k of a public function taking k
+K_COMPANIONS = {
+    "surface": K3Surface(50),
+    "v": MukaiVector(3, 1, 8),
+    "ext_on_X": GradedDims((1, 4, 1)),
+    "c": ProductClass(-1),
+    "rank": 1,
+}
+TAKES_K = [
+    function
+    for path in SOURCES
+    if not path.stem.startswith("_")
+    for name, function in vars(importlib.import_module(f"hilbstab.{path.stem}")).items()
+    if not name.startswith("_")
+    and inspect.isfunction(function)
+    and function.__module__ == f"hilbstab.{path.stem}"
+    and "k" in inspect.signature(function).parameters
+]
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize("function", TAKES_K, ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_every_function_taking_k_refuses_a_float_or_bool(function, k):
+    names = inspect.signature(function).parameters
+    args = [k if name == "k" else K_COMPANIONS[name] for name in names]
+    message = f"^k must be a positive integer, got {re.escape(str(k))}$"
+    with pytest.raises(ValueError, match=message):
+        function(*args)

@@ -147,6 +147,12 @@ def test_invalid_queries():
         SearchQuery(50, 2, r_max=2.5)
     with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
         SearchQuery(50, 2, r_max="3")
+    with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
+        SearchQuery(50, 2, r_max=True)
+    with pytest.raises(InvalidQuery, match="range endpoints must be integers"):
+        SearchQuery(50, (1, True))
+    with pytest.raises(InvalidQuery, match="range endpoints must be integers"):
+        SearchQuery(50, True)
 
 
 @pytest.mark.parametrize(
@@ -181,10 +187,12 @@ def test_worker_count_does_not_change_output():
 
 
 def test_workers_must_be_positive():
-    with pytest.raises(ValueError):
-        enumerate_hits(SearchQuery(50, 2), workers=0)
-    with pytest.raises(ValueError):
-        iter_hits(SearchQuery(50, 2), workers=0)  # raised before any hit is asked for
+    for workers in (0, 1.5, True):
+        message = f"^workers must be a positive integer, got {workers!r}$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_hits(SearchQuery(50, 2), workers=workers)
+        with pytest.raises(ValueError, match=message):
+            iter_hits(SearchQuery(50, 2), workers=workers)  # raised before any hit is asked for
 
 
 def test_pool_size_never_exceeds_cpus(monkeypatch):

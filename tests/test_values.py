@@ -176,13 +176,15 @@ def test_k3_surface_rejects_odd_or_small_h2(bad):
         K3Surface(bad)
 
 
-@pytest.mark.parametrize("bad", [50.0, "50", None])
+@pytest.mark.parametrize("bad", [50.0, "50", None, True])
 def test_k3_surface_rejects_non_integers(bad):
     with pytest.raises(ValueError, match="must be an integer"):
         K3Surface(bad)
 
 
-@pytest.mark.parametrize("args", [(3.0, 1, 8), (3, "1", 8), (3, 1, None)])
+@pytest.mark.parametrize(
+    "args", [(3.0, 1, 8), (3, "1", 8), (3, 1, None), (True, 1, 8), (3, True, 8), (3, 1, False)]
+)
 def test_mukai_vector_rejects_non_integer_components(args):
     with pytest.raises(ValueError, match="must be an integer"):
         MukaiVector(*args)
@@ -190,14 +192,20 @@ def test_mukai_vector_rejects_non_integer_components(args):
 
 @pytest.mark.parametrize(
     "args,name",
-    [((3.0, 1, 8), "r"), ((3, "1", 8), "m"), ((3, 1, None), "s"), ((None, None, None), "r")],
+    [
+        ((3.0, 1, 8), "r"),
+        ((3, "1", 8), "m"),
+        ((3, 1, None), "s"),
+        ((None, None, None), "r"),
+        ((True, 1, 8), "r"),
+    ],
 )
 def test_mukai_vector_error_names_the_first_bad_component(args, name):
     with pytest.raises(ValueError, match=f"^MukaiVector component {name} must be an integer$"):
         MukaiVector(*args)
 
 
-@pytest.mark.parametrize("dims", [(1, -1), (1, 2.0), ("1",)])
+@pytest.mark.parametrize("dims", [(1, -1), (1, 2.0), ("1",), (1, True)])
 def test_graded_dims_rejects_negative_or_non_integer(dims):
     with pytest.raises(ValueError, match="non-negative integers"):
         GradedDims(dims)
