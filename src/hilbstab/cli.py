@@ -76,23 +76,23 @@ def _emit(out: str | None, chunks) -> None:
     its resolved path and moved onto it only once every chunk is written, so
     a failure never leaves a truncated output behind; a symlink is written
     through and the file keeps its mode.  Where no file can be made beside
-    it, the OSError names out.  Anything else (a device, a FIFO) is written
-    in place."""
+    it, the OSError names out.  Anything else (a device, a FIFO, a pipe) is
+    written in place."""
     if out is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
         return
-    real = os.path.realpath(out)
-    try:
-        mode = os.stat(real).st_mode
+    try:  # follows symlinks and /proc/<pid>/fd links, even to a pipe with no path
+        mode = os.stat(out).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
+    real = os.path.realpath(out)
     tmp = os.path.join(os.path.dirname(real), f".hilbstab.{os.urandom(8).hex()}.tmp")
     try:  # O_EXCL never follows or reuses a name; O_BINARY keeps newlines; 0o600
         # is never wider than an existing target, not even before the fchmod

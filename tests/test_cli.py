@@ -366,6 +366,28 @@ def test_out_writes_into_fifo(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["hits.fifo"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_writes_into_anonymous_pipe(capsys, tmp_path):
+    # what `--out /dev/stdout | cat` names: a link to a pipe that has no path
+    _, stdout_text, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv")
+    r, w = os.pipe()
+    received = []
+
+    def reader():
+        with os.fdopen(r, encoding="utf-8", newline="") as fh:
+            received.append(fh.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    try:
+        code, out, _ = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", f"/proc/self/fd/{w}")
+    finally:
+        os.close(w)
+    thread.join(timeout=10)
+    assert code == 0 and out == ""
+    assert received == [stdout_text]
+
+
 def test_out_directory_target_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(tmp_path))
     assert code == 2
@@ -374,8 +396,14 @@ def test_out_directory_target_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_out_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
-    target = tmp_path / "hits.csv"
+# a name 22 characters short of the 255 most file systems allow: too long
+# for a temporary name built from it, so it needs a fixed-length one
+LONG_NAME = "hits" + "_" * 232 + ".csv"
+
+
+@pytest.mark.parametrize("name", ["hits.csv", LONG_NAME], ids=["short", "long"])
+def test_out_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch, name):
+    target = tmp_path / name
     target.write_text("old\n", encoding="utf-8")
     row = cli.certificate_csv_row
     calls = itertools.count()
@@ -391,7 +419,7 @@ def test_out_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert "No space left on device" in err
     assert target.read_text(encoding="utf-8") == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -410,34 +438,6 @@ def test_out_closes_every_descriptor(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert len(os.listdir("/proc/self/fd")) == len(fds)
     assert [p.name for p in tmp_path.iterdir()] == ["hits.csv"]
-
-
-# a name 22 characters short of the 255 most file systems allow: too long
-# for a temporary name built from it, so it needs a fixed-length one
-LONG_NAME = "hits" + "_" * 232 + ".csv"
-
-
-def fail_on_fourth_row(monkeypatch):
-    row = cli.certificate_csv_row
-    calls = itertools.count()
-
-    def failing_row(cert):
-        if next(calls) == 3:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return row(cert)
-
-    monkeypatch.setattr(cli, "certificate_csv_row", failing_row)
-
-
-def test_out_long_name_failed_stream_keeps_old_file(capsys, tmp_path, monkeypatch):
-    target = tmp_path / LONG_NAME
-    target.write_text("old\n", encoding="utf-8")
-    fail_on_fourth_row(monkeypatch)
-    code, out, err = run_cli(capsys, "search", "2-60", "2-3", "--csv", "--out", str(target))
-    assert code == 2 and out == ""
-    assert "No space left on device" in err
-    assert target.read_text(encoding="utf-8") == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == [LONG_NAME]
 
 
 def test_out_long_name_is_replaced_whole(capsys, tmp_path):
