@@ -63,54 +63,10 @@ from .search import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "Certificate",
-    "DestabilizerCase",
-    "GradedDims",
-    "HilbNSClass",
-    "HypothesisNotMet",
-    "InconsistentCertificate",
-    "InvalidQuery",
-    "K3Surface",
-    "MukaiVector",
-    "NegativeExt",
-    "NegativeRank",
-    "ProductClass",
-    "SearchQuery",
-    "TangentMatch",
-    "admissibility_report",
-    "build_certificate",
-    "check_fineness",
-    "check_inequality",
-    "check_local_freeness",
-    "check_nonempty",
-    "destabilizer_case",
-    "dual_vector",
-    "enumerate_hits",
-    "euler_char",
-    "euler_pair",
-    "ext_dims_on_X",
-    "ext_dims_on_hilb",
-    "extension_euler_direct",
-    "extension_euler_formula",
-    "graded_tensor",
-    "ideal_sheaf_vector",
-    "image_c1",
-    "image_rank",
-    "iter_hits",
-    "moduli_dim",
-    "mukai_pairing",
-    "mukai_square",
-    "product_c1",
-    "product_selfintersection",
-    "projective_space_cohomology",
-    "search_bounds",
-    "slope_on_X",
-    "slope_on_product",
-    "tangent_match",
-    "taut_c1",
-    "taut_rank",
-    "twisted_chi",
-    "vanishing_certificate",
-]
+# The exports are the classes, exceptions and functions imported above; the
+# submodules bound as attributes by those imports are not among them.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith(f"{__name__}.")
+)

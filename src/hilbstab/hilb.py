@@ -13,7 +13,7 @@ from enum import Enum
 from math import factorial
 
 from .lattice import K3Surface, MukaiVector, Value, twisted_chi
-from .lattice import require_positive_k, require_positive_rank, require_primitive
+from .lattice import require_int, require_positive_k, require_positive_rank, require_primitive
 
 
 class NegativeRank(ValueError):
@@ -22,6 +22,8 @@ class NegativeRank(ValueError):
 
 class HilbNSClass(Value):
     """Class a*h_k + b*delta in NS(X^[k])."""
+
+    _ints = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
         self._set(a, b)
@@ -38,6 +40,8 @@ class HilbNSClass(Value):
 
 class ProductClass(Value):
     """Class a * (sum_i q_i^* h) on the product X^k."""
+
+    _ints = ("a",)
 
     def __init__(self, a: int) -> None:
         self._set(a)
@@ -120,8 +124,7 @@ def slope_on_product(
     """Slope of a sheaf on X^k with c1 = a*(sum q_i^* h) and the given rank."""
     from fractions import Fraction  # not at top level: no CLI path needs it
 
-    if rank < 1:
-        raise ValueError(f"slope is defined only for positive rank, got {rank}")
+    require_int(rank, "rank", 1)
     return Fraction(c.a * product_selfintersection(surface, k), rank)
 
 
@@ -133,6 +136,7 @@ def destabilizer_case(a: int) -> DestabilizerCase:
     a >= 1: impossible inside a trivial bundle, which is semistable of
     slope zero.
     """
+    require_int(a, "a")
     if a <= -1:
         return DestabilizerCase.NEGATIVE_SLOPE_NOT_DESTABILIZING
     if a == 0:

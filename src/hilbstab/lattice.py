@@ -14,23 +14,36 @@ from operator import attrgetter
 class Value:
     """Immutable record whose fields are its constructor's parameters, in order.
 
-    Each subclass's __init__ checks its arguments and then stores every
-    field with one _set call, the only place that writes a field.
+    Each subclass's __init__ stores every field with one _set call, the
+    only place that writes a field.  A subclass names in _ints the fields
+    that take only an int; its _set refuses anything else there, a bool
+    or a float included, with require_int's ValueError naming the class
+    and the field.  Checks that relate a value to others or to a range
+    stay in __init__.
     Instances compare equal only to instances of the same class with equal
     fields, hash as the tuple of their fields, print as
     `Name(field=value, ...)` and refuse assignment and deletion.
     """
 
     _fields: tuple[str, ...] = ()
+    _ints: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
+        if cls._ints:  # a class without integer fields stores without a check
+            cls._set = cls._set_ints
 
     def _set(self, *values: object) -> None:
         """Store values as the fields, in the order of _fields."""
         self.__dict__.update(zip(self._fields, values))
+
+    def _set_ints(self, *values: object) -> None:
+        """_set of a class with _ints: check those fields, then store."""
+        for name in self._ints:
+            require_int(values[self._fields.index(name)], f"{type(self).__qualname__} field {name}")
+        Value._set(self, *values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -54,14 +67,14 @@ class Value:
 class K3Surface(Value):
     """A K3 surface X with NS(X) = Z*h, carried by the even integer h^2 >= 2."""
 
+    _ints = ("h_squared",)
+
     def __init__(self, h_squared: int) -> None:
-        if type(h_squared) is not int:
-            raise ValueError("h_squared must be an integer")
+        self._set(h_squared)
         if h_squared < 2 or h_squared % 2 != 0:
             raise ValueError(
                 f"h_squared must be a positive even integer, got {h_squared}"
             )
-        self._set(h_squared)
 
 
 class MukaiVector(Value):
@@ -72,11 +85,15 @@ class MukaiVector(Value):
     actually need a sheaf behind the vector.
     """
 
+    _ints = ("r", "m", "s")
+
     def __init__(self, r: int, m: int, s: int) -> None:
-        if not (type(r) is int and type(m) is int and type(s) is int):  # no bool
-            name = next(n for n, x in zip(self._fields, (r, m, s)) if type(x) is not int)
-            raise ValueError(f"MukaiVector component {name} must be an integer")
-        self._set(r, m, s)
+        # the scan builds about a million vectors a sweep: only a failing
+        # vector pays for the checking _set, which then raises
+        if type(r) is int and type(m) is int and type(s) is int:
+            Value._set(self, r, m, s)
+        else:
+            self._set(r, m, s)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.m + other.m, self.s + other.s)
@@ -104,11 +121,18 @@ def require_positive_rank(v: MukaiVector) -> None:
         raise ValueError(f"rank must be positive, got r={v.r}")
 
 
+def require_int(x: object, what: str, low: int | None = None) -> None:
+    """Raise ValueError unless x is an int, never a bool or a float, and at
+    least low (0 or 1) when low is given; the message names x as what."""
+    if type(x) is not int or (low is not None and x < low):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
+        raise ValueError(f"{what} must be {kind} integer, got {x!r}")
+
+
 def require_positive_k(k: int) -> None:
-    """Raise ValueError unless k is an int >= 1 (no float, no bool), a count of
-    points of a Hilbert scheme."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    """Raise ValueError unless k, a count of points of a Hilbert scheme, is
+    an int >= 1."""
+    require_int(k, "k", 1)
 
 
 def mukai_pairing(surface: K3Surface, v: MukaiVector, w: MukaiVector) -> int:

@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .lattice import K3Surface, MukaiVector, Value, mukai_pairing, mukai_square
-from .lattice import require_positive_k, require_positive_rank
+from .lattice import require_int, require_positive_k, require_positive_rank
 
 
 class NegativeExt(ValueError):
@@ -42,8 +42,7 @@ class GradedDims(Value):
     def __init__(self, dims: Iterable[int]) -> None:
         dims = tuple(dims)
         for d in dims:
-            if type(d) is not int or d < 0:
-                raise ValueError(f"graded dimensions must be non-negative integers, got {d!r}")
+            require_int(d, "graded dimension", 0)
         end = len(dims)
         while end and dims[end - 1] == 0:
             end -= 1
@@ -71,8 +70,7 @@ class GradedDims(Value):
 
 def projective_space_cohomology(n: int) -> GradedDims:
     """H^*(P^n, C): one dimension in each even degree 0, 2, ..., 2n."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    require_int(n, "n", 0)
     return GradedDims(tuple(1 if i % 2 == 0 else 0 for i in range(2 * n + 1)))
 
 

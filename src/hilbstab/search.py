@@ -25,7 +25,7 @@ from math import isqrt
 
 from .certificate import Certificate, build_certificate
 from .conditions import admissibility_report
-from .lattice import K3Surface, MukaiVector, Value, require_positive_k
+from .lattice import K3Surface, MukaiVector, Value, require_int, require_positive_k
 
 
 class InvalidQuery(ValueError):
@@ -37,10 +37,10 @@ def _as_range(value: int | tuple[int, int]) -> tuple[int, int]:
         lo, hi = value
     else:
         lo = hi = value
-    if type(lo) is not int or type(hi) is not int:
-        raise InvalidQuery(f"range endpoints must be integers, got {value!r}")
+    require_int(lo, "range endpoint")
+    require_int(hi, "range endpoint")
     if lo > hi:
-        raise InvalidQuery(f"empty range {lo}-{hi}")
+        raise ValueError(f"empty range {lo}-{hi}")
     return lo, hi
 
 
@@ -55,19 +55,16 @@ class SearchQuery(Value):
     def __init__(
         self, h_squared: int | tuple[int, int], k: int | tuple[int, int], r_max: int | None = None
     ) -> None:
-        h_lo, h_hi = _as_range(h_squared)
-        k_lo, _ = _as_range(k)
         try:
+            h_lo, h_hi = _as_range(h_squared)
+            k_lo, _ = _as_range(k)
             K3Surface(h_lo)
             K3Surface(h_hi)
             require_positive_k(k_lo)
+            if r_max is not None:
+                require_int(r_max, "r_max override", 1)
         except ValueError as exc:
             raise InvalidQuery(str(exc)) from exc
-        if r_max is not None:
-            if type(r_max) is not int:
-                raise InvalidQuery(f"r_max override must be an integer, got {r_max!r}")
-            if r_max < 1:
-                raise InvalidQuery(f"r_max override must be positive, got {r_max}")
         self._set(h_squared, k, r_max)
 
 
@@ -245,8 +242,7 @@ def iter_hits(query: SearchQuery, workers: int = 1) -> Iterator[Certificate]:
     raises ChildProcessError.  Searches in other threads start their own
     workers and never stop this one.
     """
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    require_int(workers, "workers", 1)
     return _stream_hits(query, _pool_size(workers))
 
 

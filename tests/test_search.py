@@ -143,15 +143,13 @@ def test_invalid_queries():
         SearchQuery(0, 2)
     with pytest.raises(InvalidQuery):
         SearchQuery(50, 2, r_max=0)
-    with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
-        SearchQuery(50, 2, r_max=2.5)
-    with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
-        SearchQuery(50, 2, r_max="3")
-    with pytest.raises(InvalidQuery, match="r_max override must be an integer"):
-        SearchQuery(50, 2, r_max=True)
-    with pytest.raises(InvalidQuery, match="range endpoints must be integers"):
+    for r_max in (2.5, "3", True):
+        message = f"^r_max override must be a positive integer, got {re.escape(repr(r_max))}$"
+        with pytest.raises(InvalidQuery, match=message):
+            SearchQuery(50, 2, r_max=r_max)
+    with pytest.raises(InvalidQuery, match="^range endpoint must be an integer, got True$"):
         SearchQuery(50, (1, True))
-    with pytest.raises(InvalidQuery, match="range endpoints must be integers"):
+    with pytest.raises(InvalidQuery, match="^range endpoint must be an integer, got True$"):
         SearchQuery(50, True)
 
 

@@ -9,6 +9,7 @@ order, and keeps its checks.
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -145,8 +146,9 @@ def test_exact_reprs():
     ids=["AdmissibilityReport", "Certificate"],
 )
 def test_each_field_reads_back_its_own_argument(cls, fields):
-    # pairwise-distinct values, so two fields stored in each other's place show
-    values = tuple(object() for _ in fields)
+    # pairwise-distinct values, so two fields stored in each other's place
+    # show; a declared integer field gets a distinct int
+    values = tuple(1000 + i if f in cls._ints else object() for i, f in enumerate(fields))
     for built in (cls(*values), cls(**dict(zip(fields, values)))):
         for field, value in zip(fields, values):
             assert getattr(built, field) is value, field
@@ -191,23 +193,24 @@ def test_mukai_vector_rejects_non_integer_components(args):
 
 
 @pytest.mark.parametrize(
-    "args,name",
+    "args,name,bad",
     [
-        ((3.0, 1, 8), "r"),
-        ((3, "1", 8), "m"),
-        ((3, 1, None), "s"),
-        ((None, None, None), "r"),
-        ((True, 1, 8), "r"),
+        ((3.0, 1, 8), "r", "3.0"),
+        ((3, "1", 8), "m", "'1'"),
+        ((3, 1, None), "s", "None"),
+        ((None, None, None), "r", "None"),
+        ((True, 1, 8), "r", "True"),
     ],
 )
-def test_mukai_vector_error_names_the_first_bad_component(args, name):
-    with pytest.raises(ValueError, match=f"^MukaiVector component {name} must be an integer$"):
+def test_mukai_vector_error_names_the_first_bad_component(args, name, bad):
+    message = f"^MukaiVector field {name} must be an integer, got {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
         MukaiVector(*args)
 
 
 @pytest.mark.parametrize("dims", [(1, -1), (1, 2.0), ("1",), (1, True)])
 def test_graded_dims_rejects_negative_or_non_integer(dims):
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="^graded dimension must be a non-negative integer, got "):
         GradedDims(dims)
 
 
