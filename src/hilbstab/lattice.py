@@ -16,34 +16,36 @@ class Value:
 
     Each subclass's __init__ stores every field with one _set call, the
     only place that writes a field.  A subclass names in _ints the fields
-    that take only an int; its _set refuses anything else there, a bool
-    or a float included, with require_int's ValueError naming the class
-    and the field.  Checks that relate a value to others or to a range
-    stay in __init__.
+    that take only an int; _set refuses anything else there, a bool or a
+    float included, with require_int's ValueError naming the class and
+    the field.  Checks that relate a value to others or to a range stay
+    in __init__.
     Instances compare equal only to instances of the same class with equal
     fields, hash as the tuple of their fields, print as
     `Name(field=value, ...)` and refuse assignment and deletion.
     """
 
     _fields: tuple[str, ...] = ()
-    _ints: tuple[str, ...] = ()
+    _ints: tuple = ()  # names in a class body; __init_subclass__ makes (position, label) pairs
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
-        if cls._ints:  # a class without integer fields stores without a check
-            cls._set = cls._set_ints
+        names = vars(cls).get("_ints", ())
+        for name in names:
+            if name not in cls._fields:
+                raise TypeError(f"{cls.__qualname__}._ints names {name!r}, not a field")
+        cls._ints = tuple(
+            (cls._fields.index(name), f"{cls.__qualname__} field {name}") for name in names
+        )
 
     def _set(self, *values: object) -> None:
-        """Store values as the fields, in the order of _fields."""
+        """Check the _ints fields, then store values as the fields, in the
+        order of _fields."""
+        for position, what in self._ints:
+            require_int(values[position], what)
         self.__dict__.update(zip(self._fields, values))
-
-    def _set_ints(self, *values: object) -> None:
-        """_set of a class with _ints: check those fields, then store."""
-        for name in self._ints:
-            require_int(values[self._fields.index(name)], f"{type(self).__qualname__} field {name}")
-        Value._set(self, *values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -88,12 +90,7 @@ class MukaiVector(Value):
     _ints = ("r", "m", "s")
 
     def __init__(self, r: int, m: int, s: int) -> None:
-        # the scan builds about a million vectors a sweep: only a failing
-        # vector pays for the checking _set, which then raises
-        if type(r) is int and type(m) is int and type(s) is int:
-            Value._set(self, r, m, s)
-        else:
-            self._set(r, m, s)
+        self._set(r, m, s)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.m + other.m, self.s + other.s)

@@ -10,9 +10,8 @@ Two guards of the value types sit beside it: every `Value` subclass is
 covered by the contract tests in `tests/test_values.py`, and no module
 stores a field behind `Value._set`'s back with `object.__setattr__`.
 The last guards check the inputs: `type(x) is int` is written only in
-`lattice.require_int` and in `MukaiVector`'s fast path, and every
-`int`-annotated parameter of every public class and function refuses a
-float or a bool.
+`lattice.require_int`, and every `int`-annotated parameter of every
+public class and function refuses a float or a bool.
 """
 
 import ast
@@ -23,7 +22,6 @@ from pathlib import Path
 import pytest
 
 import hilbstab
-from hilbstab.conditions import AdmissibilityReport
 from hilbstab.hilb import ProductClass
 from hilbstab.lattice import K3Surface, MukaiVector, Value
 from hilbstab.pfunctor import GradedDims
@@ -115,9 +113,8 @@ def test_package_source_stores_fields_only_through_value_set(path):
     assert calls == []
 
 
-# Where `type(x) is int` may be written: the one guard, and MukaiVector's
-# fast path, which calls it only to raise.
-INT_TEST_HOMES = {("lattice.py", "require_int"), ("lattice.py", "MukaiVector.__init__")}
+# Where `type(x) is int` may be written: the one guard.
+INT_TEST_HOMES = {("lattice.py", "require_int")}
 
 
 def int_type_tests(tree: ast.AST, scope: str = "") -> list[tuple[int, str]]:
@@ -200,15 +197,7 @@ def _signature(export):
 
 
 INT_PARAMETERS = [
-    pytest.param(
-        export, name,
-        id=f"{export.__name__}.{name}",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="the scan builds an AdmissibilityReport per candidate, so it declares "
-            "no integer fields until it does not; ROADMAP item 2",
-        ) if export is AdmissibilityReport else (),
-    )
+    pytest.param(export, name, id=f"{export.__name__}.{name}")
     for export in (getattr(hilbstab, name) for name in hilbstab.__all__)
     if (signature := _signature(export)) is not None
     for name, parameter in signature.parameters.items()

@@ -28,6 +28,7 @@ from hilbstab import (
     build_certificate,
     tangent_match,
 )
+from hilbstab.lattice import Value
 
 S = K3Surface(50)
 V = MukaiVector(3, 1, 8)
@@ -147,11 +148,20 @@ def test_exact_reprs():
 )
 def test_each_field_reads_back_its_own_argument(cls, fields):
     # pairwise-distinct values, so two fields stored in each other's place
-    # show; a declared integer field gets a distinct int
-    values = tuple(1000 + i if f in cls._ints else object() for i, f in enumerate(fields))
+    # show; a declared integer field (by position in _ints) gets a distinct int
+    values = tuple(1000 + i if i in dict(cls._ints) else object() for i in range(len(fields)))
     for built in (cls(*values), cls(**dict(zip(fields, values)))):
         for field, value in zip(fields, values):
             assert getattr(built, field) is value, field
+
+
+def test_ints_may_name_only_fields():
+    with pytest.raises(TypeError, match=r"\bMisspelt\._ints names 'rank', not a field$"):
+        class Misspelt(Value):
+            _ints = ("r", "rank")
+
+            def __init__(self, r: int) -> None:
+                self._set(r)
 
 
 def test_report_admissible_is_derived_not_a_field():

@@ -11,7 +11,10 @@ that raises a pin gives the reason in CHANGES.md.
 import sys
 from collections import Counter
 
+import pytest
+
 from hilbstab import K3Surface, MukaiVector, SearchQuery, build_certificate, enumerate_hits
+from hilbstab.cli import main
 from hilbstab.conditions import admissibility_report
 from hilbstab.lattice import Value, mukai_square
 from hilbstab.search import _scan_cell
@@ -42,6 +45,45 @@ SEARCH_PINS = {
     "_set GradedDims": 2990,
     "_set HilbNSClass": 1803,
     "_set ProductClass": 601,
+}
+
+# _scan_cell per (h^2, k) cell: one surface, then one vector and one
+# report per candidate
+CELL_PINS = {
+    (186, 3): {"_set K3Surface": 1, "_set MukaiVector": 174, "_set AdmissibilityReport": 174,
+               "admissibility_report": 174},
+    (1000, 2): {"_set K3Surface": 1, "_set MukaiVector": 1565, "_set AdmissibilityReport": 1565,
+                "admissibility_report": 1565},
+}
+# one cli.main run each
+CERTIFY_PINS = {
+    "_set K3Surface": 1,
+    "_set MukaiVector": 4,
+    "_set AdmissibilityReport": 1,
+    "_set HilbNSClass": 3,
+    "_set ProductClass": 1,
+    "_set GradedDims": 2,
+    "_set Certificate": 1,
+    "mukai_square": 3,
+    "admissibility_report": 1,
+}
+CLI_PINS = {
+    "check 50 2 3 1 8": CERTIFY_PINS,
+    "report 186 3 5 1 18 --csv": CERTIFY_PINS,
+    "ext 50 2 3 1 8 --distinct": {"_set K3Surface": 1, "_set MukaiVector": 1, "_set GradedDims": 2},
+    # one cell of 39 candidates, and a certificate for each of its three hits
+    "search 50 2": {
+        "_set SearchQuery": 1,
+        "_set K3Surface": 4,
+        "_set MukaiVector": 51,
+        "_set AdmissibilityReport": 42,
+        "_set HilbNSClass": 9,
+        "_set ProductClass": 3,
+        "_set GradedDims": 6,
+        "_set Certificate": 3,
+        "mukai_square": 48,
+        "admissibility_report": 42,
+    },
 }
 
 
@@ -91,3 +133,20 @@ def test_search_box_work(monkeypatch):
     assert len(enumerate_hits(SEARCH_BOX)) == 1495
     assert counts, "nothing was counted"
     assert over_pin(counts, SEARCH_PINS) == {}
+
+
+@pytest.mark.parametrize("cell", CELL_PINS, ids=str)
+def test_scan_cell_work(monkeypatch, cell):
+    counts = count_work(monkeypatch, admissibility_report)
+    _scan_cell((*cell, None))
+    assert counts, "nothing was counted"
+    assert over_pin(counts, CELL_PINS[cell]) == {}
+
+
+@pytest.mark.parametrize("command", CLI_PINS)
+def test_cli_run_work(monkeypatch, capsys, command):
+    counts = count_work(monkeypatch, mukai_square, admissibility_report)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out
+    assert counts, "nothing was counted"
+    assert over_pin(counts, CLI_PINS[command]) == {}
