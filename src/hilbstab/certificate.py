@@ -41,8 +41,6 @@ NOTE_NONPRIMITIVE_PRODUCT = "m != 1: product-space c1 not computed"
 class Certificate(Value):
     """Everything the lattice pins down about one candidate."""
 
-    _ints = ("k", "extension_euler_formula", "extension_euler_direct")
-
     def __init__(
         self, surface: K3Surface, k: int, v: MukaiVector, report: AdmissibilityReport,
         image_rank: int | None, image_c1: HilbNSClass | None, taut_rank: int | None,

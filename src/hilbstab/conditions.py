@@ -45,8 +45,6 @@ class AdmissibilityReport(Value):
     admissibility_report; the check_* functions below return its fields.
     """
 
-    _ints = ("chi", "v_sq", "threshold", "margin", "gcd_value")
-
     def __init__(
         self, chi: int, v_sq: int, threshold: int, margin: int, nonempty_ok: bool,
         ineq_ok: bool, locally_free_ok: bool, fine_ok: bool,

@@ -23,15 +23,17 @@ class NegativeRank(ValueError):
 class HilbNSClass(Value):
     """Class a*h_k + b*delta in NS(X^[k])."""
 
-    _ints = ("a", "b")
-
     def __init__(self, a: int, b: int) -> None:
         self._set(a, b)
 
     def __add__(self, other: "HilbNSClass") -> "HilbNSClass":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return HilbNSClass(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "HilbNSClass") -> "HilbNSClass":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return HilbNSClass(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "HilbNSClass":
@@ -41,12 +43,12 @@ class HilbNSClass(Value):
 class ProductClass(Value):
     """Class a * (sum_i q_i^* h) on the product X^k."""
 
-    _ints = ("a",)
-
     def __init__(self, a: int) -> None:
         self._set(a)
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return ProductClass(self.a + other.a)
 
     def __neg__(self) -> "ProductClass":

@@ -15,29 +15,28 @@ class Value:
     """Immutable record whose fields are its constructor's parameters, in order.
 
     Each subclass's __init__ stores every field with one _set call, the
-    only place that writes a field.  A subclass names in _ints the fields
-    that take only an int; _set refuses anything else there, a bool or a
-    float included, with require_int's ValueError naming the class and
-    the field.  Checks that relate a value to others or to a range stay
-    in __init__.
+    only place that writes a field.  __init_subclass__ lists in _ints the
+    fields whose __init__ parameter is annotated int (not `int | None`);
+    _set refuses anything but an int there, a bool or a float included,
+    with require_int's ValueError naming the class and the field.  Checks
+    that relate a value to others or to a range stay in __init__.
     Instances compare equal only to instances of the same class with equal
     fields, hash as the tuple of their fields, print as
     `Name(field=value, ...)` and refuse assignment and deletion.
     """
 
     _fields: tuple[str, ...] = ()
-    _ints: tuple = ()  # names in a class body; __init_subclass__ makes (position, label) pairs
+    _ints: tuple[tuple[int, str], ...] = ()  # (position, label) of each int field
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
-        names = vars(cls).get("_ints", ())
-        for name in names:
-            if name not in cls._fields:
-                raise TypeError(f"{cls.__qualname__}._ints names {name!r}, not a field")
+        annotations = cls.__init__.__annotations__
         cls._ints = tuple(
-            (cls._fields.index(name), f"{cls.__qualname__} field {name}") for name in names
+            (position, f"{cls.__qualname__} field {name}")
+            for position, name in enumerate(cls._fields)
+            if annotations.get(name) in ("int", int)
         )
 
     def _set(self, *values: object) -> None:
@@ -69,8 +68,6 @@ class Value:
 class K3Surface(Value):
     """A K3 surface X with NS(X) = Z*h, carried by the even integer h^2 >= 2."""
 
-    _ints = ("h_squared",)
-
     def __init__(self, h_squared: int) -> None:
         self._set(h_squared)
         if h_squared < 2 or h_squared % 2 != 0:
@@ -87,15 +84,17 @@ class MukaiVector(Value):
     actually need a sheaf behind the vector.
     """
 
-    _ints = ("r", "m", "s")
-
     def __init__(self, r: int, m: int, s: int) -> None:
         self._set(r, m, s)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return MukaiVector(self.r + other.r, self.m + other.m, self.s + other.s)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return MukaiVector(self.r - other.r, self.m - other.m, self.s - other.s)
 
     def __neg__(self) -> "MukaiVector":

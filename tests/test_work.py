@@ -1,11 +1,11 @@
-"""Exact work counts of the library, pinned as upper bounds.
+"""Exact work counts of the library, each pinned to its value.
 
 Timings on a shared two-CPU host cannot see one layer do a little more
 work; a call count can, exactly.  Each test wraps program functions
 in-process with monkeypatch, runs one fixed input and compares what it
-counted with its pins.  A count above its pin fails, and the failure
-names it.  A change that earns a lower count lowers the pin with it; one
-that raises a pin gives the reason in CHANGES.md.
+counted with its pins.  A count above or below its pin fails, and the
+failure names it, so a change that earns a lower count must lower the
+pin with it; one that raises a pin gives the reason in CHANGES.md.
 """
 
 import sys
@@ -115,32 +115,34 @@ def count_work(monkeypatch, *functions) -> Counter:
     return counts
 
 
-def over_pin(counts: Counter, pins: dict) -> dict:
-    """Each count above its pin, as name: (count, pin); unpinned counts have pin 0."""
-    return {name: (n, pins.get(name, 0)) for name, n in counts.items() if n > pins.get(name, 0)}
+def off_pin(counts: Counter, pins: dict) -> dict:
+    """Each count that differs from its pin, as name: (count, pin); an
+    unpinned count has pin 0, and an uncounted pin has count 0."""
+    return {
+        name: (counts[name], pins.get(name, 0))
+        for name in counts.keys() | pins.keys()
+        if counts[name] != pins.get(name, 0)
+    }
 
 
 def test_build_certificate_work(monkeypatch):
     surface, v = K3Surface(50), MukaiVector(3, 1, 8)
     counts = count_work(monkeypatch, mukai_square, admissibility_report)
     build_certificate(surface, v, 2)
-    assert counts, "nothing was counted"
-    assert over_pin(counts, CERTIFICATE_PINS) == {}
+    assert off_pin(counts, CERTIFICATE_PINS) == {}
 
 
 def test_search_box_work(monkeypatch):
     counts = count_work(monkeypatch, _scan_cell, admissibility_report)
     assert len(enumerate_hits(SEARCH_BOX)) == 1495
-    assert counts, "nothing was counted"
-    assert over_pin(counts, SEARCH_PINS) == {}
+    assert off_pin(counts, SEARCH_PINS) == {}
 
 
 @pytest.mark.parametrize("cell", CELL_PINS, ids=str)
 def test_scan_cell_work(monkeypatch, cell):
     counts = count_work(monkeypatch, admissibility_report)
     _scan_cell((*cell, None))
-    assert counts, "nothing was counted"
-    assert over_pin(counts, CELL_PINS[cell]) == {}
+    assert off_pin(counts, CELL_PINS[cell]) == {}
 
 
 @pytest.mark.parametrize("command", CLI_PINS)
@@ -148,5 +150,4 @@ def test_cli_run_work(monkeypatch, capsys, command):
     counts = count_work(monkeypatch, mukai_square, admissibility_report)
     assert main(command.split()) == 0
     assert capsys.readouterr().out
-    assert counts, "nothing was counted"
-    assert over_pin(counts, CLI_PINS[command]) == {}
+    assert off_pin(counts, CLI_PINS[command]) == {}
