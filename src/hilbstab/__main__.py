@@ -1,4 +1,4 @@
-from .cli import console_entry
+from .cli import main
 
 if __name__ == "__main__":
-    console_entry()
+    raise SystemExit(main())

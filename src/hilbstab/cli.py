@@ -68,11 +68,26 @@ def _json_list(values):
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
+def _standard_stream(info: os.stat_result):
+    """sys.stdout or sys.stderr if its descriptor is the file info describes,
+    else None; a closed descriptor matches nothing."""
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        try:
+            if os.path.samestat(info, os.fstat(fd)):
+                return stream
+        except OSError:  # the descriptor is closed
+            pass
+    return None
+
+
 def _emit(out: str | None, chunks) -> None:
     """Write the text chunks to stdout and flush it, or to a file that replaces out.
 
     The chunks may be produced lazily, so output streams as it is made.
-    A regular (or new) file is written to `.hilbstab.<16 hex>.tmp` beside
+    An out that is the file stdout or stderr writes to (`/dev/stdout`, or
+    the file the shell redirected it to) is written through that stream, so
+    an appending or shared descriptor keeps what it holds.  Otherwise a
+    regular (or new) file is written to `.hilbstab.<16 hex>.tmp` beside
     its resolved path and moved onto it only once every chunk is written, so
     a failure never leaves a truncated output behind; a symlink is written
     through and the file keeps its mode.  Where no file can be made beside
@@ -81,14 +96,19 @@ def _emit(out: str | None, chunks) -> None:
     if out is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
+        stream = sys.stdout
+    else:
+        try:  # follows symlinks and /proc/<pid>/fd links, even to a pipe with no path
+            info = os.stat(out)
+        except FileNotFoundError:
+            info = stream = None
+        else:
+            stream = _standard_stream(info)
+    if stream is not None:
+        stream.writelines(chunks)
+        stream.flush()
         return
-    try:  # follows symlinks and /proc/<pid>/fd links, even to a pipe with no path
-        mode = os.stat(out).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+    if info is not None and not stat.S_ISREG(info.st_mode):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
@@ -97,13 +117,13 @@ def _emit(out: str | None, chunks) -> None:
     try:  # O_EXCL never follows or reuses a name; O_BINARY keeps newlines; 0o600
         # is never wider than an existing target, not even before the fchmod
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
-                     0o666 if mode is None else 0o600)
+                     0o666 if info is None else 0o600)
     except OSError as exc:  # a read-only directory, a full disk: name the target
         raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))
+            if info is not None:
+                os.fchmod(fd, stat.S_IMODE(info.st_mode))
             fh.writelines(chunks)
         os.replace(tmp, real)
     except BaseException:
@@ -249,6 +269,8 @@ def _settle(stream) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # h^2 is unbounded: no digit cap,
+        sys.set_int_max_str_digits(0)  # from here on, for the whole process
     if sys.stderr is None:  # stderr is closed: print its messages nowhere, not on stdout
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
@@ -270,9 +292,3 @@ def main(argv: list[str] | None = None) -> int:
     _settle(sys.stdout)
     _settle(sys.stderr)
     return code
-
-
-def console_entry() -> None:
-    if hasattr(sys, "set_int_max_str_digits"):  # h^2 is unbounded: no digit cap
-        sys.set_int_max_str_digits(0)
-    sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from math import factorial
 
-from .lattice import K3Surface, MukaiVector, Value, twisted_chi
+from .lattice import HypothesisNotMet, K3Surface, MukaiVector, Value, twisted_chi
 from .lattice import require_int, require_positive_k, require_positive_rank, require_primitive
 
 
@@ -66,9 +66,7 @@ class DestabilizerCase(Enum):
 def _require_rank_two_ns(k: int) -> None:
     require_positive_k(k)
     if k < 2:
-        raise ValueError(
-            f"NS(X^[k]) has rank 2 only for k >= 2, got k={k}"
-        )
+        raise HypothesisNotMet(f"NS(X^[k]) has rank 2 only for k >= 2, got k={k}")
 
 
 def image_rank(v: MukaiVector, k: int) -> int:

@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from child_env import child_env
+from child_env import child_env, run_hilbstab
 
 DEADLINE_S = 2.0
 PEAK_MB = 64
@@ -167,13 +167,8 @@ def _cap_address_space() -> None:
 @pytest.mark.parametrize("command", ["check", "ext"])
 def test_out_of_memory_exits_2_with_one_error_line(command):
     # at k = 10^6 the Ext table fits under the cap, but its JSON does not
-    proc = subprocess.run(
-        [sys.executable, "-m", "hilbstab", command, "50", "1000000", "3", "1", "8"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        preexec_fn=_cap_address_space,
-        timeout=60,
+    proc = run_hilbstab(
+        command, "50", "1000000", "3", "1", "8", timeout=60, text=True, preexec_fn=_cap_address_space
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1

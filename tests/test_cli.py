@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from child_env import child_env
+from child_env import child_env, run_hilbstab
 from hypothesis import example, given, settings
 
 from hilbstab import cli
@@ -513,13 +514,7 @@ def test_out_read_only_directory_leaves_target_untouched(capsys, tmp_path):
 
 def run_module(*argv, timeout=10.0):
     """`python -m hilbstab ARGV` in a subprocess; a hang fails after `timeout`."""
-    return subprocess.run(
-        [sys.executable, "-m", "hilbstab", *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=timeout,
-    )
+    return run_hilbstab(*argv, timeout=timeout, text=True)
 
 
 def test_search_k_beyond_every_h2_returns_at_once():
@@ -610,14 +605,7 @@ def test_full_stdout_exits_2(argv):
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hilbstab", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=10,
-        )
+        proc = run_hilbstab(*argv, timeout=10, stdout=full, text=True, env=env)
     assert proc.returncode == 2
     assert "No space left on device" in proc.stderr
     assert "Exception ignored" not in proc.stderr
@@ -626,20 +614,48 @@ def test_full_stdout_exits_2(argv):
 # ------------------------------------------------------- closed standard streams
 
 
-def run_shell(redirect, *argv, buffered=False):
-    """`python -m hilbstab ARGV REDIRECT` through sh, which can close fd 1 or 2."""
+def run_shell(redirect, *argv, buffered=False, then=None):
+    """`python -m hilbstab ARGV REDIRECT` through sh, which can close fd 1 or 2;
+    with `then`, `{ python -m hilbstab ARGV; THEN; } REDIRECT`, one redirect for both."""
     env = child_env()
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
     else:
         env["PYTHONUNBUFFERED"] = "1"
+    command = '"$0" -m hilbstab "$@"'
+    if then is not None:
+        command = f"{{ {command}; {then}; }}"
     return subprocess.run(
-        ["sh", "-c", f'"$0" -m hilbstab "$@" {redirect}', sys.executable, *argv],
+        ["sh", "-c", f"{command} {redirect}", sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=10,
     )
+
+
+CHECK_CSV = (GOLDEN / "check_50_2_3_1_8.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fd,out", [("", "/dev/stdout"), ("2", "/dev/stderr")])
+def test_out_standard_stream_appends_where_the_stream_appends(tmp_path, fd, out):
+    # the shell opens the target with O_APPEND; replacing it would drop "old"
+    target = tmp_path / "f"
+    target.write_text("old\n", encoding="utf-8")
+    argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", out]
+    proc = run_shell(f"{fd}>> {shlex.quote(str(target))}", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == "old\n" + CHECK_CSV
+
+
+def test_out_dev_stdout_leaves_the_shells_descriptor_on_the_file(tmp_path):
+    # what the shell writes after the command must land in the same file
+    target = tmp_path / "f"
+    argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", "/dev/stdout"]
+    proc = run_shell(f"> {shlex.quote(str(target))}", *argv, then="echo done")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert target.read_text(encoding="utf-8") == CHECK_CSV + "done\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -691,9 +707,7 @@ def test_out_with_closed_stdout_exits_0(tmp_path, buffered):
     argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", str(target)]
     proc = run_shell(">&-", *argv, buffered=buffered)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert target.read_text(encoding="utf-8") == (GOLDEN / "check_50_2_3_1_8.csv").read_text(
-        encoding="utf-8"
-    )
+    assert target.read_text(encoding="utf-8") == CHECK_CSV
 
 
 # ------------------------------------------------------------ golden files
@@ -768,10 +782,21 @@ def test_ext_output_byte_exact(capsys, argv, expected):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hilbstab", "check", "50", "2", "3", "1", "8", "--strict"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_hilbstab("check", "50", "2", "3", "1", "8", "--strict", timeout=10, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["admissible"] is True
+
+
+def test_in_process_main_reads_integers_of_any_length(capsys):
+    # main lifts the 4300-digit cap itself, as the console script and
+    # `python -m hilbstab` rely on
+    argv = ["check", "2" + "0" * 5000, "2", "3", "1", "8", "--csv"]
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (code, out, err) == (0, proc.stdout, "")

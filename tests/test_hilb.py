@@ -19,7 +19,7 @@ from hilbstab.hilb import (
     taut_c1,
     taut_rank,
 )
-from hilbstab.lattice import K3Surface, MukaiVector, euler_char
+from hilbstab.lattice import HypothesisNotMet, K3Surface, MukaiVector, euler_char
 
 surfaces = st.integers(1, 60).map(lambda n: K3Surface(2 * n))
 sheaf_vectors = st.builds(
@@ -48,11 +48,6 @@ def test_image_c1_examples():
     assert image_c1(MukaiVector(2, -1, 5), 2) == HilbNSClass(1, 2)
 
 
-def test_image_c1_requires_k_at_least_2():
-    with pytest.raises(ValueError):
-        image_c1(MukaiVector(3, 1, 8), 1)
-
-
 # ------------------------------------------------------ tautological bundle
 
 
@@ -63,11 +58,13 @@ def test_taut_examples():
     assert taut_c1(MukaiVector(1, 1, 5), 2) == HilbNSClass(1, -1)
 
 
-def test_taut_rejects_k_1():
-    with pytest.raises(ValueError):
-        taut_rank(MukaiVector(3, 1, 8), 1)
-    with pytest.raises(ValueError):
-        taut_c1(MukaiVector(3, 1, 8), 1)
+@pytest.mark.parametrize("invariant", [image_c1, taut_rank, taut_c1, product_c1])
+def test_k_1_is_a_hypothesis_not_met(invariant):
+    # a HypothesisNotMet, which `except ValueError` callers still catch
+    message = r"^NS\(X\^\[k\]\) has rank 2 only for k >= 2, got k=1$"
+    with pytest.raises(ValueError, match=message) as info:
+        invariant(MukaiVector(3, 1, 8), 1)
+    assert info.type is HypothesisNotMet
 
 
 def test_rank_additivity_worked_example():

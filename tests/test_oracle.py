@@ -10,13 +10,12 @@ to 6, m != 1, empty moduli and negative image ranks.
 import contextlib
 import importlib.util
 import io
-import subprocess
 import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from child_env import child_env
+from child_env import run_hilbstab
 from hypothesis import example, given, settings
 
 from hilbstab import K3Surface, MukaiVector, build_certificate
@@ -101,8 +100,8 @@ def test_cli_stdout_and_exit_code_equal_oracle(cand, cmd, first, second):
 
 @pytest.fixture
 def no_digit_cap():
-    """Lift Python's 4300-digit cap on int <-> str here, as `hilbstab` does
-    at entry, so the oracle can read and print the same integers."""
+    """Lift Python's 4300-digit cap on int <-> str here, as `cli.main` does,
+    so the oracle can read and print the same integers."""
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     yield
@@ -120,9 +119,7 @@ def no_digit_cap():
     ids=["check-h2-4300", "check-m-2500", "report-csv-h2-5000", "ext-h2-5000"],
 )
 def test_integers_of_any_length_render_as_the_oracle_does(argv, no_digit_cap):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hilbstab", *argv], capture_output=True, env=child_env(), timeout=30
-    )
+    proc = run_hilbstab(*argv, timeout=30)
     assert proc.stderr == b""
     assert (proc.returncode, proc.stdout) == oracle.expected_call(argv)
 
