@@ -14,31 +14,29 @@ output is written record by record as hits are found.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
-import re
 import stat
 import sys
 from itertools import chain, islice
 
 from .certificate import CSV_COLUMNS, ExtRecord, build_certificate, certificate_csv_row
 from .certificate import certificate_to_dict, ext_csv_rows, ext_to_dict
-from .lattice import K3Surface, MukaiVector
+from .lattice import K3Surface, MukaiVector, require_int
 from .pfunctor import NegativeExt, ext_dims_on_hilb, ext_dims_on_X
 # enumerate_hits is unused here but stays importable: perfbench/traced.py
 # wraps it by name.
 from .search import InvalidQuery, SearchQuery, enumerate_hits, iter_hits  # noqa: F401
 
-_RANGE_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
-
 
 def _parse_range(text: str) -> int | tuple[int, int]:
-    m = _RANGE_RE.match(text)
-    if m is None:
-        raise InvalidQuery(f"malformed range: {text!r} (expected N or LO-HI)")
-    if m.group(2) is None:
-        return int(m.group(1))
-    return int(m.group(1)), int(m.group(2))
+    """N or LO-HI; each endpoint is read by int, as every other integer is."""
+    lo, dash, hi = text.partition("-")
+    try:
+        return (int(lo), int(hi)) if dash else int(lo)
+    except ValueError:
+        raise InvalidQuery(f"malformed range: {text!r} (expected N or LO-HI)") from None
 
 
 def _render_json(value) -> str:
@@ -80,24 +78,40 @@ def _standard_stream(info: os.stat_result):
     return None
 
 
+def _writable_descriptor(out: str) -> int | None:
+    """N if out, an existing path, is `/dev/fd/N` or `/proc/self/fd/N` and
+    descriptor N is open for writing, else None."""
+    head, name = os.path.split(out)
+    if head not in ("/dev/fd", "/proc/self/fd"):
+        return None
+    import fcntl  # POSIX only, as these paths are
+
+    fd = int(name)  # the path exists, so it names an open descriptor
+    return None if fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY else fd
+
+
 def _emit(out: str | None, chunks) -> None:
     """Write the text chunks to stdout and flush it, or to a file that replaces out.
 
     The chunks may be produced lazily, so output streams as it is made.
-    An out that is the file stdout or stderr writes to (`/dev/stdout`, or
-    the file the shell redirected it to) is written through that stream, so
-    an appending or shared descriptor keeps what it holds.  Otherwise a
-    regular (or new) file is written to `.hilbstab.<16 hex>.tmp` beside
-    its resolved path and moved onto it only once every chunk is written, so
-    a failure never leaves a truncated output behind; a symlink is written
-    through and the file keeps its mode.  Where no file can be made beside
-    it, the OSError names out.  Anything else (a device, a FIFO, a pipe) is
-    written in place."""
+    An out whose last component is empty, `.` or `..` names a directory and
+    raises at once.  An out that is the file stdout or stderr writes to
+    (`/dev/stdout`, or the file the shell redirected it to) is written
+    through that stream, and a `/dev/fd/N` open for writing through
+    descriptor N, so an appending or shared descriptor keeps what it holds.
+    Otherwise a regular (or new) file is written to `.hilbstab.<16 hex>.tmp`
+    beside its resolved path and moved onto it only once every chunk is
+    written, so a failure never leaves a truncated output behind; a symlink
+    is written through and the file keeps its mode.  Where no file can be
+    made beside it, the OSError names out.  Anything else (a device, a
+    FIFO, a pipe) is written in place."""
     if out is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
         stream = sys.stdout
     else:
+        if os.path.basename(out) in ("", ".", ".."):  # realpath would drop it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         try:  # follows symlinks and /proc/<pid>/fd links, even to a pipe with no path
             info = os.stat(out)
         except FileNotFoundError:
@@ -108,8 +122,10 @@ def _emit(out: str | None, chunks) -> None:
         stream.writelines(chunks)
         stream.flush()
         return
-    if info is not None and not stat.S_ISREG(info.st_mode):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+    fd = None if info is None else _writable_descriptor(out)
+    if fd is not None or (info is not None and not stat.S_ISREG(info.st_mode)):
+        with open(out if fd is None else fd, "w", encoding="utf-8", newline="",
+                  closefd=fd is None) as fh:
             fh.writelines(chunks)
         return
     real = os.path.realpath(out)
@@ -149,8 +165,8 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be non-negative, got {args.limit}")
+    if args.limit is not None:
+        require_int(args.limit, "--limit", 0)
     query = SearchQuery(_parse_range(args.h2), _parse_range(args.k))
     hits = iter_hits(query, workers=args.workers)
     # islice takes no count above sys.maxsize, which no run can reach anyway

@@ -89,9 +89,31 @@ def test_search_bad_h2_or_k_exits_2_with_the_owners_message(capsys, h2, k, messa
     assert run_cli(capsys, "search", h2, k) == (2, "", f"error: {message}\n")
 
 
-def test_search_malformed_range_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "search", "50..60", "2")
-    assert code == 2
+@pytest.mark.parametrize("text", ["50..60", "5e1", "0x32", "-50", "50-", "-", ""])
+def test_search_malformed_range_exits_2(capsys, text):
+    assert run_cli(capsys, "search", text, "2") == (
+        2, "", f"error: malformed range: {text!r} (expected N or LO-HI)\n"
+    )
+
+
+# every spelling of 50 that int reads, as argparse reads the integers of check
+@pytest.mark.parametrize(
+    "h2", ["+50", "5_0", " 50 ", "\u0665\u0660"], ids=["plus", "underscore", "spaces", "arabic"]
+)
+@pytest.mark.parametrize(
+    "command,rest,golden",
+    [("search", ["2"], "search_50_2.csv"), ("check", ["2", "3", "1", "8"], "check_50_2_3_1_8.csv")],
+    ids=["search", "check"],
+)
+def test_search_and_check_read_h2_alike(capsys, command, rest, golden, h2):
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert run_cli(capsys, command, h2, *rest, "--csv") == (0, expected, "")
+
+
+def test_search_range_endpoints_are_read_by_int(capsys):
+    expected = run_cli(capsys, "search", "48-52", "2", "--csv")
+    assert expected[0] == 0
+    assert run_cli(capsys, "search", "+48-5_2", "2", "--csv") == expected
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -138,7 +160,9 @@ def test_search_limit_zero(capsys):
 
 
 def test_search_negative_limit_exits_2(capsys):
-    assert main(["search", "50", "2", "--limit", "-1"]) == 2
+    assert run_cli(capsys, "search", "50", "2", "--limit", "-1") == (
+        2, "", "error: --limit must be a non-negative integer, got -1\n"
+    )
 
 
 def test_search_range_query(capsys):
@@ -389,12 +413,25 @@ def test_out_writes_into_anonymous_pipe(capsys, tmp_path):
     assert received == [stdout_text]
 
 
-def test_out_directory_target_exits_2(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", str(tmp_path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("target", ["dir", "missing/", "missing/.", "missing/.."])
+def test_out_directory_target_exits_2(capsys, tmp_path, monkeypatch, target):
+    # a last component that is empty, . or .. names a directory, existing or not
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", target)
+    assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: {target!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_out_empty_path_exits_2_and_creates_nothing(capsys, tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, out, err = run_cli(capsys, "check", "50", "2", "3", "1", "8", "--out", "")
+    assert (code, out, err) == (2, "", "error: [Errno 21] Is a directory: ''\n")
+    assert list(tmp_path.iterdir()) == [cwd]
+    assert list(cwd.iterdir()) == []
 
 
 # a name 22 characters short of the 255 most file systems allow: too long
@@ -637,7 +674,13 @@ def run_shell(redirect, *argv, buffered=False, then=None):
 CHECK_CSV = (GOLDEN / "check_50_2_3_1_8.csv").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("fd,out", [("", "/dev/stdout"), ("2", "/dev/stderr")])
+NO_PROC_FD = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+
+
+@pytest.mark.parametrize(
+    "fd,out",
+    [("", "/dev/stdout"), ("2", "/dev/stderr"), pytest.param("3", "/dev/fd/3", marks=NO_PROC_FD)],
+)
 def test_out_standard_stream_appends_where_the_stream_appends(tmp_path, fd, out):
     # the shell opens the target with O_APPEND; replacing it would drop "old"
     target = tmp_path / "f"
@@ -648,14 +691,33 @@ def test_out_standard_stream_appends_where_the_stream_appends(tmp_path, fd, out)
     assert target.read_text(encoding="utf-8") == "old\n" + CHECK_CSV
 
 
-def test_out_dev_stdout_leaves_the_shells_descriptor_on_the_file(tmp_path):
+@pytest.mark.parametrize(
+    "fd,out,then",
+    [("", "/dev/stdout", "echo done"), pytest.param("3", "/dev/fd/3", "echo done >&3", marks=NO_PROC_FD)],
+    ids=["stdout", "fd-3"],
+)
+def test_out_dev_stdout_leaves_the_shells_descriptor_on_the_file(tmp_path, fd, out, then):
     # what the shell writes after the command must land in the same file
     target = tmp_path / "f"
-    argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", "/dev/stdout"]
-    proc = run_shell(f"> {shlex.quote(str(target))}", *argv, then="echo done")
+    argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", out]
+    proc = run_shell(f"{fd}> {shlex.quote(str(target))}", *argv, then=then)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert target.read_text(encoding="utf-8") == CHECK_CSV + "done\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+@pytest.mark.parametrize(
+    "out", [None, pytest.param("/dev/fd/0", marks=NO_PROC_FD)], ids=["path", "dev-fd-0"]
+)
+def test_out_onto_the_file_stdin_reads_replaces_it(tmp_path, out):
+    # a descriptor open only for reading is no stream to write through
+    target = tmp_path / "h"
+    target.write_text("old\n", encoding="utf-8")
+    argv = ["check", "50", "2", "3", "1", "8", "--csv", "--out", out or str(target)]
+    proc = run_shell(f"< {shlex.quote(str(target))}", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == CHECK_CSV
+    assert [p.name for p in tmp_path.iterdir()] == ["h"]
 
 
 NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -6,7 +6,8 @@ nothing to stdout when it returns 2.  Candidate tokens mix plausible
 integers with malformed ones; k stays small because the Ext table on
 X^[k] has 2k + 1 degrees, and an example takes a k that no table fits.
 Search boxes stay within h^2 <= 10^4 and run with `--workers 1`, so no
-pool and no long scan starts.
+pool and no long scan starts; their endpoints are at times spelled with a
+leading `+` or a `_` between digits, as `int` reads them.
 """
 
 import contextlib
@@ -59,11 +60,25 @@ def candidate_argv(draw):
     return [command, *tokens]
 
 
+def _spell(draw, n):
+    """n as int reads it: mostly plain, at times "+n" or with a "_" between digits."""
+    text = str(n)
+    how = draw(st.sampled_from(["plain", "plain", "plus", "underscore"]))
+    if how == "plus":
+        return "+" + text
+    if how == "underscore" and len(text) > 1:
+        cut = draw(st.integers(1, len(text) - 1))
+        return f"{text[:cut]}_{text[cut:]}"
+    return text
+
+
 def _range(draw, bound, step):
     """"LO" or "LO-HI" within [0, bound], LO a multiple of step or one past."""
     lo = draw(st.integers(0, bound // step)) * step + draw(st.sampled_from([0, 0, 0, 0, 1]))
     width = draw(st.integers(0, 3)) * step
-    return str(lo) if width == 0 else f"{lo}-{min(lo + width, bound)}"
+    if width == 0:
+        return _spell(draw, lo)
+    return f"{_spell(draw, lo)}-{_spell(draw, min(lo + width, bound))}"
 
 
 @st.composite
@@ -125,5 +140,6 @@ def test_candidate_commands_keep_the_exit_code_contract(argv):
 @example(["search", "3-9", "2", "--workers", "1", "--csv"])
 @example(["search", "50", "2", "--workers", "1", "--limit", "-1"])
 @example(["search", "50", "0", "--workers", "1"])
+@example(["search", "+4_8-5_2", "+2", "--workers", "1"])
 def test_search_keeps_the_exit_code_contract(argv):
     _assert_contract(argv)
