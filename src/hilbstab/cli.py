@@ -6,9 +6,11 @@ table that cannot exist), 2 on malformed input or an environment failure
 (an --out that cannot be written, which leaves a regular target as it
 was, a full or closed stdout, a reader that closed the pipe, or running
 out of memory).  A closed or full stderr loses only the error message,
-never the exit code.  Output goes to stdout or to --out;
-JSON is the default format, --csv selects the flat projection.  Search
-output is written record by record as hits are found.
+never the exit code.  SIGTERM and SIGHUP end a run with the status the
+signal gives, after --out's temporary file is removed and the workers
+joined; SIGINT is unchanged.  Output goes to stdout or to --out; JSON is
+the default format, --csv selects the flat projection.  Search output is
+written record by record as hits are found.
 """
 
 from __future__ import annotations
@@ -143,7 +145,10 @@ def _emit(out: str | None, chunks) -> None:
             fh.writelines(chunks)
         os.replace(tmp, real)
     except BaseException:
-        os.unlink(tmp)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:  # a signal right after os.replace moved it
+            pass
         raise
 
 
@@ -285,10 +290,27 @@ def _settle(stream) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # h^2 is unbounded: no digit cap,
-        sys.set_int_max_str_digits(0)  # from here on, for the whole process
+    sys.set_int_max_str_digits(0)  # h^2 is unbounded: no digit cap, from here on, for the whole process
     if sys.stderr is None:  # stderr is closed: print its messages nowhere, not on stdout
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    import signal  # not at top level: `import hilbstab.cli` does not load it
+
+    caught = []
+
+    def stop(signum, frame) -> None:  # unwinds through _emit's and the pool's cleanup
+        if not caught:  # a second signal does not cut that cleanup short
+            caught.append(signum)
+            raise SystemExit(128 + signum)
+
+    installed = []  # never over a handler or an ignored signal (nohup ignores SIGHUP)
+    for name in ("SIGTERM", "SIGHUP"):  # Windows has no SIGHUP
+        signum = getattr(signal, name, None)
+        if signum is not None and signal.getsignal(signum) is signal.SIG_DFL:
+            try:
+                signal.signal(signum, stop)
+            except ValueError:  # not the main thread, which alone may set handlers
+                break
+            installed.append(signum)
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -305,6 +327,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {message}", file=sys.stderr)
         except OSError:  # stderr is full as well
             pass
+    finally:
+        for signum in installed:
+            signal.signal(signum, signal.SIG_DFL)
+        if caught:  # end with the status the signal gives, as without the handler
+            signal.raise_signal(caught[0])
     _settle(sys.stdout)
     _settle(sys.stderr)
     return code

@@ -6,9 +6,11 @@ import itertools
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -544,6 +546,130 @@ def test_out_read_only_directory_leaves_target_untouched(capsys, tmp_path):
     finally:
         tmp_path.chmod(0o755)
     assert_untouched(code, out, err, target, tmp_path)
+
+
+# ------------------------------------------------------------------ signals
+
+
+POSIX_SIGNALS = pytest.mark.skipif(not hasattr(signal, "SIGHUP"), reason="needs POSIX signals")
+
+
+@contextlib.contextmanager
+def search_in_session(target, h2, *options, **kwargs):
+    """`python -m hilbstab search H2 2 --out TARGET OPTIONS` started in a new
+    session, yielded once the scan has written to the temporary file beside
+    target; whatever is left of the session is killed on the way out."""
+    argv = [sys.executable, "-m", "hilbstab", "search", h2, "2", "--out", str(target), *options]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=child_env(), start_new_session=True, **kwargs) as proc:
+        try:
+            deadline = time.monotonic() + 10
+            while not any(tmp.stat().st_size for tmp in target.parent.glob(".hilbstab.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline, "no temporary file"
+                time.sleep(0.01)
+            yield proc
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+def session_ends(pid) -> bool:
+    """Whether no process is left in session pid within 5 s."""
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@POSIX_SIGNALS
+@pytest.mark.parametrize(
+    "name,workers,whole_session",
+    [
+        ("SIGTERM", "1", False),
+        ("SIGTERM", "2", False),  # the search alone: it must end its workers
+        ("SIGTERM", "2", True),  # as `timeout` signals: the workers get it too
+        ("SIGHUP", "1", False),
+    ],
+    ids=["term", "term-workers", "term-session", "hup"],
+)
+def test_out_signal_leaves_target_and_no_temporary_file(tmp_path, name, workers, whole_session):
+    # the search, which would run for several seconds, is stopped mid-scan
+    target = tmp_path / "f"
+    target.write_text("old\n", encoding="utf-8")
+    signum = getattr(signal, name)
+    with search_in_session(target, "2-3000", "--workers", workers) as proc:
+        (os.killpg if whole_session else os.kill)(proc.pid, signum)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == -signum
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert "Traceback" not in err
+        assert session_ends(proc.pid)
+
+
+def test_out_signal_after_the_move_is_no_error(capsys, tmp_path, monkeypatch):
+    # the signal's exit lands once os.replace has moved the temporary file away
+    target = tmp_path / "f"
+    target.write_text("old\n", encoding="utf-8")
+    replace = os.replace
+
+    def replace_then_exit(src, dst):
+        replace(src, dst)
+        raise SystemExit(128 + 15)
+
+    monkeypatch.setattr(os, "replace", replace_then_exit)
+    with pytest.raises(SystemExit):
+        main(["check", "50", "2", "3", "1", "8", "--csv", "--out", str(target)])
+    assert capsys.readouterr().err == ""
+    assert target.read_text(encoding="utf-8") == CHECK_CSV
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+@POSIX_SIGNALS
+def test_out_ignored_sighup_changes_nothing(tmp_path):
+    # as under nohup: the search runs to its end and replaces the target
+    target = tmp_path / "f"
+    target.write_text("old\n", encoding="utf-8")
+
+    def ignore_sighup():
+        signal.signal(signal.SIGHUP, signal.SIG_IGN)
+
+    with search_in_session(target, "2-600", preexec_fn=ignore_sighup) as proc:
+        os.kill(proc.pid, signal.SIGHUP)
+        out, err = proc.communicate(timeout=30)
+    assert (proc.returncode, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8").startswith("[\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+@POSIX_SIGNALS
+@pytest.mark.parametrize("h2,code", [("50", 0), ("51", 2)], ids=["exit-0", "exit-2"])
+def test_main_gives_back_the_signal_handlers_it_found(capsys, h2, code):
+    argv = ["check", h2, "2", "3", "1", "8"]
+    before = [signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)]
+    assert run_cli(capsys, *argv)[0] == code
+    assert [signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)] == before
+    previous = signal.signal(signal.SIGTERM, print)  # a handler main must leave alone
+    try:
+        assert run_cli(capsys, *argv)[0] == code
+        assert signal.getsignal(signal.SIGTERM) is print
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_main_runs_outside_the_main_thread(capsys):
+    # only the main thread may set a handler: elsewhere main sets none
+    codes = []
+    argv = ["check", "50", "2", "3", "1", "8", "--csv"]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert capsys.readouterr().out == CHECK_CSV
 
 
 # ------------------------------------------------------- streaming, processes

@@ -5,8 +5,10 @@ heavy standard-library modules stay off that path: none of the value
 types is a dataclass, `fractions` is imported by the two slope functions
 that need it, CSV is written by joining cells that need no quoting, the
 process pool (`multiprocessing`) loads only when `search --workers` uses
-it, and `--out` creates its temporary file with `os.open`, so `tempfile`
-never loads at all; it stays in KEPT_OFF so that it does not come back.
+it, `--out` creates its temporary file with `os.open`, so `tempfile`
+never loads at all (it stays in KEPT_OFF so that it does not come back),
+and `signal` is imported by `cli.main`, which sets the SIGTERM and SIGHUP
+handlers, so the import alone does not pay for it.
 """
 
 import subprocess
@@ -24,6 +26,7 @@ KEPT_OFF = (
     "multiprocessing",
     "csv",
     "tempfile",
+    "signal",
 )
 
 PROBE = f"""
